@@ -284,34 +284,72 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
         _write_matrix(fh, t.features_train)
 
 
+def _read_meta(fh: BinaryIO, path: str) -> dict:
+    header = fh.read(4)
+    if len(header) != 4:
+        raise FormatError(f"{path}: encoder envelope truncated (header length)")
+    (hlen,) = struct.unpack("<I", header)
+    blob = fh.read(hlen)
+    if len(blob) != hlen:
+        raise FormatError(f"{path}: encoder envelope truncated (metadata)")
+    try:
+        meta = json.loads(blob.decode("utf-8"))
+    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+        raise FormatError(f"{path}: unreadable encoder metadata: {exc}") from exc
+    if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
+        raise FormatError(f"{path}: encoder metadata has no config object")
+    return meta
+
+
 def load_autoencoder(path: str) -> TrainedAutoencoder:
-    """Inverse of :func:`save_autoencoder`, bit-exact."""
+    """Inverse of :func:`save_autoencoder`, bit-exact.
+
+    A file that is not a complete, self-consistent envelope raises
+    FormatError; that includes metadata whose reservoir config disagrees with
+    the stored weight dimensions.
+    """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
         if magic != _MAGIC:
             raise FormatError(f"{path}: not an encoder envelope (magic {magic!r})")
-        (hlen,) = struct.unpack("<I", fh.read(4))
-        meta = json.loads(fh.read(hlen).decode("utf-8"))
+        meta = _read_meta(fh, path)
         weights = load_weights(fh)
         w_out = _read_matrix(fh)
         w_out_refit = _read_matrix(fh)
         features = _read_matrix(fh)
-    spec = RaeTrainSpec(
-        cfg=ReservoirConfig(**meta["config"]),
-        n_candidates=meta["n_candidates"],
-        seed=meta["seed"],
-        reset_policy=meta["reset_policy"],
-        pinv_tolerance=meta["pinv_tolerance"],
-    )
-    return TrainedAutoencoder(
-        kind=meta["kind"],
-        weights=weights,
-        w_out=w_out,
-        w_out_refit=w_out_refit,
-        reconstruction_error=meta["reconstruction_error"],
-        pre_tying_error=meta["pre_tying_error"],
-        candidate_errors=tuple(meta["candidate_errors"]),
-        chosen_candidate=meta["chosen_candidate"],
-        features_train=features,
-        spec=spec,
-    )
+    config = meta["config"]
+    for key, actual in (
+        ("n_hidden", weights.n_hidden),
+        ("input_dim", weights.input_dim),
+        ("n_layers", weights.n_layers),
+    ):
+        value = config.get(key)
+        if type(value) is not int or value != actual:
+            raise FormatError(
+                f"{path}: metadata config {key}={value!r} disagrees with the "
+                f"stored weights ({actual})"
+            )
+    if meta.get("kind") not in KINDS:
+        raise FormatError(f"{path}: unknown autoencoder kind {meta.get('kind')!r}")
+    try:
+        spec = RaeTrainSpec(
+            cfg=ReservoirConfig(**config),
+            n_candidates=meta["n_candidates"],
+            seed=meta["seed"],
+            reset_policy=meta["reset_policy"],
+            pinv_tolerance=meta["pinv_tolerance"],
+        )
+        return TrainedAutoencoder(
+            kind=meta["kind"],
+            weights=weights,
+            w_out=w_out,
+            w_out_refit=w_out_refit,
+            reconstruction_error=meta["reconstruction_error"],
+            pre_tying_error=meta["pre_tying_error"],
+            candidate_errors=tuple(meta["candidate_errors"]),
+            chosen_candidate=meta["chosen_candidate"],
+            features_train=features,
+            spec=spec,
+        )
+    except (KeyError, TypeError, ValueError) as exc:
+        raise FormatError(f"{path}: invalid encoder metadata: {exc!r}") from exc

@@ -30,7 +30,7 @@ from .autoencoder import KINDS, RaeTrainSpec, encode, fit, is_multilayer
 from .classifier import ClassifierParams, evaluate, train_classifier
 from .data import Dataset, NoiseSpec, inject_noise, normalize, parse_ucr
 from .errors import FormatError, NumericalError
-from .reservoir import ReservoirConfig
+from .reservoir import ReservoirConfig, radius_memo
 
 RAW_BASELINE = "raw"
 
@@ -180,7 +180,12 @@ class ExperimentReport:
 
 def _prepare_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
     d_train = parse_ucr(spec.train_path, name=spec.dataset_name, split="train")
-    d_test = parse_ucr(spec.test_path, name=spec.dataset_name, split="test")
+    d_test = parse_ucr(
+        spec.test_path,
+        name=spec.dataset_name,
+        split="test",
+        label_names=d_train.label_names,
+    )
     if d_train.input_len != d_test.input_len:
         raise FormatError(
             f"train length {d_train.input_len} != test length {d_test.input_len}"
@@ -284,11 +289,15 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
         dtr, dte = prepared[(level, run)]
         return _run_cell(spec, dataset, method, level, run, dtr, dte)
 
-    if spec.workers == 1 or len(jobs) == 1:
-        cells = [work(j) for j in jobs]
-    else:
-        with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-            cells = list(pool.map(work, jobs))
+    # A recurrent draw depends only on (seed, stream, N, beta), so cells that
+    # differ only in noise level or method share the spectral radius of their
+    # draws. The memo closes with this call, even when a cell raises.
+    with radius_memo():
+        if spec.workers == 1 or len(jobs) == 1:
+            cells = [work(j) for j in jobs]
+        else:
+            with ThreadPoolExecutor(max_workers=spec.workers) as pool:
+                cells = list(pool.map(work, jobs))
 
     # Keyed merge: report order follows the spec's grid, not completion order.
     by_key = {(c.method, c.snr_db, c.run): c for c in cells}

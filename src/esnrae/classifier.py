@@ -9,6 +9,7 @@ training statistics so the loss scale is comparable across datasets.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -82,17 +83,21 @@ def _pegasos(x: np.ndarray, y: np.ndarray, params: ClassifierParams, rng: Seeded
     w = np.zeros(x.shape[1])
     w_sum = np.zeros(x.shape[1])
     radius = 1.0 / np.sqrt(lam)
+    rows = list(x)
+    signs = y.tolist()
     g = rng.generator()
     t = 0
     for _ in range(params.epochs):
-        for i in g.permutation(p):
+        for i in g.permutation(p).tolist():
+            xi, yi = rows[i], signs[i]
             t += 1
             eta = 1.0 / (lam * t)
-            margin = y[i] * (w @ x[i])
+            margin = yi * (w @ xi)
             w *= 1.0 - 1.0 / t
             if margin < 1.0:
-                w += eta * y[i] * x[i]
-            norm = np.linalg.norm(w)
+                w += eta * yi * xi
+            # np.linalg.norm computes sqrt(w.dot(w)) for a real 1-D vector.
+            norm = math.sqrt(w.dot(w))
             if norm > radius:
                 w *= radius / norm
             w_sum += w

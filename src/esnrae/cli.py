@@ -90,7 +90,9 @@ def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
 
 def cmd_encode(args) -> int:
     d_train = parse_ucr(_require_file(args.train), split="train")
-    d_test = parse_ucr(_require_file(args.test), split="test")
+    d_test = parse_ucr(
+        _require_file(args.test), split="test", label_names=d_train.label_names
+    )
     if args.normalize:
         stats = d_train
         d_train = normalize(d_train, stats)
@@ -147,7 +149,9 @@ def cmd_classify(args) -> int:
         }
     )
     d_train = parse_ucr(_require_file(args.train), split="train")
-    d_test = parse_ucr(_require_file(args.test), split="test")
+    d_test = parse_ucr(
+        _require_file(args.test), split="test", label_names=d_train.label_names
+    )
     params = ClassifierParams(reg_lambda=args.reg_lambda, epochs=args.epochs, seed=args.seed)
     clf = train_classifier(d_train.patterns.T, d_train.labels, params)
     result = evaluate(clf, d_test.patterns.T, d_test.labels)

@@ -95,12 +95,20 @@ def _detect_separator(line: str) -> str | None:
     return None
 
 
-def parse_ucr(path: str, name: str = "", split: str = "") -> Dataset:
+def parse_ucr(
+    path: str,
+    name: str = "",
+    split: str = "",
+    label_names: tuple[int, ...] | None = None,
+) -> Dataset:
     """Parse a UCR-style text file into a Dataset.
 
     The input length K is inferred from the first line; every later line must
     match it. Labels may be any integers (including negative); they are
-    remapped, in sorted order, to 0..C-1.
+    remapped, in sorted order, to 0..C-1. Pass the training split's
+    ``label_names`` when parsing a test split, so both splits share class ids;
+    a label outside them is a FormatError. Non-finite values (``nan``,
+    ``inf``) are a FormatError naming the first line that holds one.
     """
     with open(path, "r", encoding="utf-8") as fh:
         raw_lines = fh.readlines()
@@ -129,20 +137,32 @@ def parse_ucr(path: str, name: str = "", split: str = "") -> Dataset:
                 f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
             )
         label = values[0]
-        if abs(label - round(label)) > 1e-9:
+        if not math.isfinite(label) or abs(label - round(label)) > 1e-9:
             raise FormatError(
                 f"{path}: line {lineno}: class label {label!r} is not an integer"
             )
         originals.append(int(round(label)))
         rows.append(values[1:])
 
-    label_names = tuple(sorted(set(originals)))
+    patterns = np.array(rows, dtype=float)
+    if not np.isfinite(patterns).all():
+        first_bad = int(np.argmin(np.isfinite(patterns).all(axis=1)))
+        raise FormatError(f"{path}: line {lines[first_bad][0]}: non-finite value")
+
+    if label_names is None:
+        label_names = tuple(sorted(set(originals)))
     remap = {orig: i for i, orig in enumerate(label_names)}
+    unknown = sorted(set(originals) - set(remap))
+    if unknown:
+        raise FormatError(
+            f"{path}: class labels {unknown} are not among the known labels "
+            f"{list(label_names)}"
+        )
     if not name:
         name = _stem(path)
     return Dataset(
         name=name,
-        patterns=np.array(rows, dtype=float),
+        patterns=patterns,
         labels=np.array([remap[o] for o in originals], dtype=int),
         label_names=label_names,
         split=split,

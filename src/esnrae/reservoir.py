@@ -15,13 +15,15 @@ into ``w_in[:, 1:]`` exactly.
 from __future__ import annotations
 
 import struct
+import threading
+from contextlib import contextmanager
 from dataclasses import dataclass
-from typing import BinaryIO
+from typing import BinaryIO, Iterator
 
 import numpy as np
 
 from .errors import DegenerateMatrixError, FormatError
-from .linalg import SeededRng, scale_to_spectral_radius, sparse_random_matrix, spectral_radius
+from .linalg import SeededRng, sparse_random_matrix, spectral_radius
 
 # Retries per layer when a sparse draw happens to be nilpotent.
 _MAX_DEGENERATE_RETRIES = 5
@@ -144,6 +146,51 @@ class StateTrace:
         return self.layers[-1].shape[1]
 
 
+# Spectral radii of recurrent draws, shared while a radius_memo() scope is
+# open. A draw is fixed by (seed, stream, N, connectivity), so its radius is
+# too; only floats are kept, never the matrices.
+_radius_memo: dict[tuple[int, str, int, float], float] | None = None
+_radius_memo_depth = 0
+_radius_memo_lock = threading.Lock()
+
+
+@contextmanager
+def radius_memo() -> Iterator[None]:
+    """Share the spectral radius of identical recurrent draws within a scope.
+
+    Scopes may nest or overlap across threads; the memo lives until the last
+    open scope closes, also when it closes by an exception. Outside every
+    scope each draw computes its own radius.
+    """
+    global _radius_memo, _radius_memo_depth
+    with _radius_memo_lock:
+        if _radius_memo_depth == 0:
+            _radius_memo = {}
+        _radius_memo_depth += 1
+    try:
+        yield
+    finally:
+        with _radius_memo_lock:
+            _radius_memo_depth -= 1
+            if _radius_memo_depth == 0:
+                _radius_memo = None
+
+
+def _draw_radius(candidate: np.ndarray, stream: SeededRng, connectivity: float) -> float:
+    """Spectral radius of a fresh sparse draw, through the memo when one is open."""
+    memo = _radius_memo
+    if memo is None:
+        return spectral_radius(candidate)
+    key = (stream.seed, stream.stream, candidate.shape[0], connectivity)
+    # Held while computing, so concurrent cells wait for a radius in flight
+    # instead of repeating its eigendecomposition.
+    with _radius_memo_lock:
+        rho = memo.get(key)
+        if rho is None:
+            rho = memo[key] = spectral_radius(candidate)
+    return rho
+
+
 def init_weights(
     cfg: ReservoirConfig,
     rng: SeededRng,
@@ -158,7 +205,8 @@ def init_weights(
     regenerated from the next sub-stream (bounded retries). ``recurrent=False``
     zeroes the recurrent matrices, which turns the network into the
     feed-forward ELM variant. ``zero_bias`` suppresses the encoder bias terms
-    for the plain-ESN update rule.
+    for the plain-ESN update rule. Inside :func:`radius_memo` a draw seen
+    before reuses its spectral radius; the weights are the same bits.
     """
     n, k, m = cfg.n_hidden, cfg.input_dim, cfg.n_layers
 
@@ -172,14 +220,12 @@ def init_weights(
             w.append(np.zeros((n, n)))
             continue
         for attempt in range(_MAX_DEGENERATE_RETRIES + 1):
-            stream = f"w{i}" if attempt == 0 else f"w{i}#retry{attempt}"
-            candidate = sparse_random_matrix(
-                n, n, cfg.connectivity, -1.0, 1.0, rng.child(stream)
-            )
-            if spectral_radius(candidate) > 0.0:
-                w.append(
-                    scale_to_spectral_radius(candidate, cfg.spectral_radius_target)
-                )
+            stream = rng.child(f"w{i}" if attempt == 0 else f"w{i}#retry{attempt}")
+            candidate = sparse_random_matrix(n, n, cfg.connectivity, -1.0, 1.0, stream)
+            rho = _draw_radius(candidate, stream, cfg.connectivity)
+            if rho > 0.0:
+                # Same expression as linalg.scale_to_spectral_radius.
+                w.append(candidate * (cfg.spectral_radius_target / rho))
                 break
         else:
             raise DegenerateMatrixError(
@@ -203,6 +249,34 @@ def init_weights(
     return EsnWeights(w_in=w_in, w=tuple(w), w_inter=tuple(w_inter), b_e=tuple(b_e), b_d=b_d)
 
 
+def _recurrent_layers(weights: EsnWeights) -> tuple[bool, ...]:
+    """Per layer, whether its recurrent matrix has a nonzero entry."""
+    return tuple(bool(np.any(a)) for a in weights.w)
+
+
+def _advance(
+    weights: EsnWeights,
+    recurrent: tuple[bool, ...],
+    x_prev: list[np.ndarray],
+    u: np.ndarray,
+) -> list[np.ndarray]:
+    """One unchecked update of every layer (the kernel behind :func:`step`).
+
+    A layer whose recurrent matrix is all zero skips ``w[i] @ prev``: adding
+    that exact zero vector would change no bit of the state.
+    """
+    states: list[np.ndarray] = []
+    for i in range(weights.n_layers):
+        if i == 0:
+            drive = weights.w_in[:, 0] + weights.w_in[:, 1:] @ u
+        else:
+            drive = weights.w_inter[i - 1] @ states[i - 1]
+        if recurrent[i]:
+            drive = drive + weights.w[i] @ x_prev[i]
+        states.append(np.tanh(drive + weights.b_e[i]))
+    return states
+
+
 def step(
     weights: EsnWeights,
     x_prev: list[np.ndarray] | tuple[np.ndarray, ...],
@@ -220,17 +294,11 @@ def step(
     if len(x_prev) != weights.n_layers:
         raise ValueError(f"expected {weights.n_layers} layer states, got {len(x_prev)}")
     n = weights.n_hidden
-    states: list[np.ndarray] = []
-    for i in range(weights.n_layers):
-        prev = np.asarray(x_prev[i], dtype=float)
-        if prev.shape != (n,):
-            raise ValueError(f"layer {i + 1} state shape {prev.shape} != ({n},)")
-        if i == 0:
-            drive = weights.w_in[:, 0] + weights.w_in[:, 1:] @ u
-        else:
-            drive = weights.w_inter[i - 1] @ states[i - 1]
-        states.append(np.tanh(drive + weights.w[i] @ prev + weights.b_e[i]))
-    return states
+    prev = [np.asarray(x, dtype=float) for x in x_prev]
+    for i, x in enumerate(prev):
+        if x.shape != (n,):
+            raise ValueError(f"layer {i + 1} state shape {x.shape} != ({n},)")
+    return _advance(weights, _recurrent_layers(weights), prev, u)
 
 
 def run_collect(
@@ -242,7 +310,9 @@ def run_collect(
 
     Under ``carry`` the state flows from one pattern to the next, so column n
     depends on all patterns up to n; under ``reset`` the state is zeroed
-    before each pattern. The initial state is always zero.
+    before each pattern. The initial state is always zero. Shapes are checked
+    once here; each pattern then goes through the same kernel as
+    :func:`step`, so the columns equal a chain of ``step`` calls bit for bit.
     """
     if reset_policy not in ("carry", "reset"):
         raise ValueError(f"reset_policy must be carry|reset, got {reset_policy!r}")
@@ -254,13 +324,14 @@ def run_collect(
         )
     p = patterns.shape[0]
     n, m = weights.n_hidden, weights.n_layers
+    recurrent = _recurrent_layers(weights)
     traces = [np.empty((n, p)) for _ in range(m)]
     zero = [np.zeros(n) for _ in range(m)]
     state = zero
     for j in range(p):
         if reset_policy == "reset":
             state = zero
-        state = step(weights, state, patterns[j])
+        state = _advance(weights, recurrent, state, patterns[j])
         for i in range(m):
             traces[i][:, j] = state[i]
     return StateTrace(layers=tuple(traces))
@@ -326,7 +397,10 @@ def load_weights(fh: BinaryIO) -> EsnWeights:
     w_inter = tuple(_read_block(fh) for _ in range(m - 1))
     b_e = tuple(_read_block(fh).reshape(-1) for _ in range(m))
     b_d = _read_block(fh).reshape(-1)
-    loaded = EsnWeights(w_in=w_in, w=w, w_inter=w_inter, b_e=b_e, b_d=b_d)
+    try:
+        loaded = EsnWeights(w_in=w_in, w=w, w_inter=w_inter, b_e=b_e, b_d=b_d)
+    except ValueError as exc:
+        raise FormatError(f"weight container blocks are inconsistent: {exc}") from exc
     if loaded.n_hidden != n or loaded.input_dim != k:
         raise FormatError("weight container dimensions disagree with blocks")
     return loaded

@@ -301,3 +301,84 @@ class TestEnvelope:
         path.write_bytes(b"garbage!" * 4)
         with pytest.raises(FormatError):
             load_autoencoder(str(path))
+
+
+class TestEnvelopeErrors:
+    @pytest.fixture(scope="class")
+    def envelope(self, tmp_path_factory):
+        t = fit(random_dataset(seed=40), train_spec(seed=41), "esn-rae")
+        path = str(tmp_path_factory.mktemp("env") / "enc.esnae")
+        save_autoencoder(t, path)
+        with open(path, "rb") as fh:
+            return fh.read()
+
+    @staticmethod
+    def split(raw):
+        """(magic, metadata bytes, everything after the metadata)."""
+        hlen = int.from_bytes(raw[8:12], "little")
+        return raw[:8], raw[12:12 + hlen], raw[12 + hlen:]
+
+    def load(self, tmp_path, raw):
+        path = tmp_path / "bad.esnae"
+        path.write_bytes(raw)
+        return load_autoencoder(str(path))
+
+    def rebuild(self, raw, meta_bytes):
+        magic, _, rest = self.split(raw)
+        return magic + len(meta_bytes).to_bytes(4, "little") + meta_bytes + rest
+
+    @pytest.mark.parametrize("cut", [9, 20, 200, -8])
+    def test_truncated_envelope(self, tmp_path, envelope, cut):
+        from esnrae import FormatError
+
+        with pytest.raises(FormatError):
+            self.load(tmp_path, envelope[:cut])
+
+    def test_corrupt_json(self, tmp_path, envelope):
+        from esnrae import FormatError
+
+        _, meta, _ = self.split(envelope)
+        broken = meta.replace(b'"kind"', b'"kind ', 1)
+        with pytest.raises(FormatError, match="metadata"):
+            self.load(tmp_path, self.rebuild(envelope, broken))
+
+    def test_non_utf8_metadata(self, tmp_path, envelope):
+        from esnrae import FormatError
+
+        _, meta, _ = self.split(envelope)
+        with pytest.raises(FormatError, match="metadata"):
+            self.load(tmp_path, self.rebuild(envelope, b"\xff" + meta[1:]))
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("config"),
+            lambda m: m.update(config=[1, 2]),
+            lambda m: m["config"].pop("n_hidden"),
+            lambda m: m["config"].update(n_hidden="30"),
+            lambda m: m["config"].update(n_hidden=31),
+            lambda m: m["config"].update(input_dim=25),
+            lambda m: m["config"].update(n_layers=2),
+            lambda m: m["config"].update(bogus=1),
+            lambda m: m.pop("seed"),
+            lambda m: m.update(kind="vae"),
+        ],
+    )
+    def test_bad_or_disagreeing_metadata(self, tmp_path, envelope, edit):
+        import json
+
+        from esnrae import FormatError
+
+        _, meta_bytes, _ = self.split(envelope)
+        meta = json.loads(meta_bytes)
+        edit(meta)
+        raw = self.rebuild(envelope, json.dumps(meta).encode())
+        with pytest.raises(FormatError):
+            self.load(tmp_path, raw)
+
+    def test_untouched_envelope_still_loads(self, tmp_path, envelope):
+        import json
+
+        _, meta_bytes, _ = self.split(envelope)
+        raw = self.rebuild(envelope, json.dumps(json.loads(meta_bytes)).encode())
+        assert self.load(tmp_path, raw).weights.n_hidden == 30

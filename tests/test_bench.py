@@ -345,3 +345,27 @@ class TestLoadSpec:
         path.write_text('{"train_path": "a"}')
         with pytest.raises(FormatError, match="test_path"):
             bench_mod.load_spec(str(path))
+
+
+class TestSharedClassIds:
+    def test_test_split_ids_follow_training_labels(self, synth_files, tmp_path):
+        from esnrae import parse_ucr
+
+        train, _ = synth_files
+        d = parse_ucr(train)
+        ones = d.patterns[d.labels == 1]
+        test = str(tmp_path / "ones_TEST.txt")
+        with open(test, "w", encoding="utf-8") as fh:
+            for row in ones:
+                fh.write(",".join(["1", *map(repr, map(float, row))]) + "\n")
+        d_train, d_test = bench_mod._prepare_data(small_spec(synth_files, test_path=test))
+        assert d_test.label_names == d_train.label_names
+        assert set(d_test.labels.tolist()) == {1}
+
+    def test_unknown_test_label_is_a_format_error(self, synth_files, tmp_path):
+        from esnrae import FormatError
+
+        test = tmp_path / "odd_TEST.txt"
+        test.write_text("7," + ",".join(["0.5"] * 32) + "\n")
+        with pytest.raises(FormatError, match=r"\[7\]"):
+            run_experiment(small_spec(synth_files, test_path=str(test)))

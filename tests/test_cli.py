@@ -287,3 +287,30 @@ class TestEntryPoint:
             [sys.executable, "-m", "esnrae.cli", "launch"], capture_output=True, text=True
         )
         assert proc.returncode == 2
+
+
+class TestSharedClassIds:
+    def write(self, path, rows):
+        path.write_text("".join(",".join(str(v) for v in row) + "\n" for row in rows))
+        return str(path)
+
+    def test_test_split_with_one_label_keeps_training_ids(self, tmp_path, capsys):
+        rows = [(1, 0.0, 0.1), (1, 0.2, 0.0), (2, 5.0, 5.1), (2, 5.2, 4.9)]
+        train = self.write(tmp_path / "train.txt", rows)
+        test = self.write(tmp_path / "test.txt", rows[2:])
+        code, out, _ = run_cli(["classify", "--train", train, "--test", test], capsys)
+        assert code == 0
+        assert "error rate: 0.0000 (0/2 misclassified)" in out
+
+    def test_unknown_test_label_exits_2(self, tmp_path, capsys):
+        rows = [(1, 0.0, 0.1), (2, 5.0, 5.1)]
+        train = self.write(tmp_path / "train.txt", rows)
+        test = self.write(tmp_path / "test.txt", [(3, 0.0, 0.1)])
+        for command in (
+            ["classify", "--train", train, "--test", test],
+            ["encode", "--train", train, "--test", test, "--n-hidden", "4",
+             "--connectivity", "0.5", "--out-dir", str(tmp_path / "out")],
+        ):
+            code, _, stderr = run_cli(command, capsys)
+            assert code == 2
+            assert "[3]" in stderr

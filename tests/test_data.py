@@ -225,3 +225,32 @@ class TestDatasetInvariants:
                 labels=np.array([0, 2]),
                 label_names=(0, 1),
             )
+
+
+class TestParseUcrBoundaries:
+    @pytest.mark.parametrize("token", ["nan", "inf", "-inf", "NaN"])
+    def test_non_finite_value_names_its_line(self, tmp_path, token):
+        path = tmp_path / "bad.txt"
+        path.write_text(f"1,0.1,0.2,0.3\n2,0.4,0.5,0.6\n1,{token},0.2,0.3\n")
+        with pytest.raises(FormatError, match="line 3: non-finite"):
+            parse_ucr(str(path))
+
+    def test_non_finite_label_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_text("1,0.1,0.2\nnan,0.4,0.5\n")
+        with pytest.raises(FormatError, match="line 2"):
+            parse_ucr(str(path))
+
+    def test_known_label_names_fix_the_class_ids(self, tmp_path):
+        path = tmp_path / "test.txt"
+        path.write_text("2,0.1,0.2\n2,0.3,0.4\n")
+        alone = parse_ucr(str(path))
+        shared = parse_ucr(str(path), label_names=(1, 2))
+        assert alone.label_names == (2,) and list(alone.labels) == [0, 0]
+        assert shared.label_names == (1, 2) and list(shared.labels) == [1, 1]
+
+    def test_label_outside_known_names_rejected(self, tmp_path):
+        path = tmp_path / "test.txt"
+        path.write_text("1,0.1,0.2\n3,0.3,0.4\n")
+        with pytest.raises(FormatError, match=r"\[3\]"):
+            parse_ucr(str(path), label_names=(1, 2))

@@ -235,6 +235,20 @@ class TestWeightContainer:
         with pytest.raises(FormatError):
             load_weights(io.BytesIO(data))
 
+    def test_inconsistent_block_shapes_rejected(self):
+        import struct
+
+        from esnrae import FormatError
+
+        w = init_weights(config(n=20, k=8), SeededRng(27))
+        buf = io.BytesIO()
+        save_weights(w, buf)
+        data = bytearray(buf.getvalue())
+        # The w_in block header follows magic + dims; swap its rows and cols.
+        data[20:28] = struct.pack("<II", 9, 20)
+        with pytest.raises(FormatError, match="inconsistent"):
+            load_weights(io.BytesIO(bytes(data)))
+
 
 class TestConfigValidation:
     def test_spectral_radius_must_be_below_one(self):
