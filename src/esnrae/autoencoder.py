@@ -31,6 +31,7 @@ from .reservoir import (
     EsnWeights,
     ReservoirConfig,
     StateTrace,
+    _read_exact,
     init_weights,
     load_weights,
     run_collect,
@@ -244,9 +245,7 @@ def _read_matrix(fh: BinaryIO) -> np.ndarray:
     if len(header) != 8:
         raise FormatError("encoder envelope truncated (matrix header)")
     rows, cols = struct.unpack("<II", header)
-    raw = fh.read(rows * cols * 8)
-    if len(raw) != rows * cols * 8:
-        raise FormatError("encoder envelope truncated (matrix data)")
+    raw = _read_exact(fh, rows * cols * 8, "encoder envelope matrix data")
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(rows, cols)
 
 
@@ -289,9 +288,7 @@ def _read_meta(fh: BinaryIO, path: str) -> dict:
     if len(header) != 4:
         raise FormatError(f"{path}: encoder envelope truncated (header length)")
     (hlen,) = struct.unpack("<I", header)
-    blob = fh.read(hlen)
-    if len(blob) != hlen:
-        raise FormatError(f"{path}: encoder envelope truncated (metadata)")
+    blob = _read_exact(fh, hlen, f"{path}: encoder envelope metadata")
     try:
         meta = json.loads(blob.decode("utf-8"))
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:

@@ -15,7 +15,6 @@ into ``w_in[:, 1:]`` exactly.
 from __future__ import annotations
 
 import struct
-import threading
 from contextlib import contextmanager
 from dataclasses import dataclass
 from typing import BinaryIO, Iterator
@@ -150,30 +149,21 @@ class StateTrace:
 # open. A draw is fixed by (seed, stream, N, connectivity), so its radius is
 # too; only floats are kept, never the matrices.
 _radius_memo: dict[tuple[int, str, int, float], float] | None = None
-_radius_memo_depth = 0
-_radius_memo_lock = threading.Lock()
 
 
 @contextmanager
 def radius_memo() -> Iterator[None]:
     """Share the spectral radius of identical recurrent draws within a scope.
 
-    Scopes may nest or overlap across threads; the memo lives until the last
-    open scope closes, also when it closes by an exception. Outside every
+    The memo closes when the scope does, also by an exception. Outside a
     scope each draw computes its own radius.
     """
-    global _radius_memo, _radius_memo_depth
-    with _radius_memo_lock:
-        if _radius_memo_depth == 0:
-            _radius_memo = {}
-        _radius_memo_depth += 1
+    global _radius_memo
+    _radius_memo = {}
     try:
         yield
     finally:
-        with _radius_memo_lock:
-            _radius_memo_depth -= 1
-            if _radius_memo_depth == 0:
-                _radius_memo = None
+        _radius_memo = None
 
 
 def _draw_radius(candidate: np.ndarray, stream: SeededRng, connectivity: float) -> float:
@@ -182,12 +172,9 @@ def _draw_radius(candidate: np.ndarray, stream: SeededRng, connectivity: float) 
     if memo is None:
         return spectral_radius(candidate)
     key = (stream.seed, stream.stream, candidate.shape[0], connectivity)
-    # Held while computing, so concurrent cells wait for a radius in flight
-    # instead of repeating its eigendecomposition.
-    with _radius_memo_lock:
-        rho = memo.get(key)
-        if rho is None:
-            rho = memo[key] = spectral_radius(candidate)
+    rho = memo.get(key)
+    if rho is None:
+        rho = memo[key] = spectral_radius(candidate)
     return rho
 
 
@@ -358,14 +345,31 @@ def _write_block(fh: BinaryIO, a: np.ndarray) -> None:
     fh.write(a2.tobytes())
 
 
+def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
+    """Read exactly ``size`` bytes or raise FormatError naming ``what``.
+
+    A size taken from a corrupt header can be far larger than the file; on a
+    seekable stream it is checked against the bytes left before any read, so
+    no buffer of that size is ever requested.
+    """
+    if fh.seekable():
+        here = fh.tell()
+        left = fh.seek(0, 2) - here
+        fh.seek(here)
+        if size > left:
+            raise FormatError(f"{what} truncated ({size} bytes declared, {left} left)")
+    raw = fh.read(size)
+    if len(raw) != size:
+        raise FormatError(f"{what} truncated")
+    return raw
+
+
 def _read_block(fh: BinaryIO) -> np.ndarray:
     header = fh.read(8)
     if len(header) != 8:
         raise FormatError("weight container truncated (block header)")
     rows, cols = struct.unpack("<II", header)
-    raw = fh.read(rows * cols * 8)
-    if len(raw) != rows * cols * 8:
-        raise FormatError("weight container truncated (block data)")
+    raw = _read_exact(fh, rows * cols * 8, "weight container block data")
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(rows, cols)
 
 

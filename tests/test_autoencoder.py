@@ -334,6 +334,13 @@ class TestEnvelopeErrors:
         with pytest.raises(FormatError):
             self.load(tmp_path, envelope[:cut])
 
+    def test_oversized_metadata_length(self, tmp_path, envelope):
+        from esnrae import FormatError
+
+        raw = envelope[:8] + b"\xff\xff\xff\xff" + envelope[12:]
+        with pytest.raises(FormatError, match="declared"):
+            self.load(tmp_path, raw)
+
     def test_corrupt_json(self, tmp_path, envelope):
         from esnrae import FormatError
 

@@ -249,6 +249,36 @@ class TestWeightContainer:
         with pytest.raises(FormatError, match="inconsistent"):
             load_weights(io.BytesIO(bytes(data)))
 
+    @pytest.mark.parametrize("rows,cols", [(0xFFFFFFFF, 0xFFFFFFFF), (1 << 20, 1 << 10)])
+    def test_oversized_block_header_rejected_before_reading(self, rows, cols):
+        import struct
+
+        from esnrae import FormatError
+
+        buf = io.BytesIO()
+        save_weights(init_weights(config(n=20, k=8), SeededRng(27)), buf)
+        data = bytearray(buf.getvalue())
+        data[20:28] = struct.pack("<II", rows, cols)
+        with pytest.raises(FormatError, match="declared"):
+            load_weights(io.BytesIO(bytes(data)))
+
+    def test_unseekable_stream_still_loads(self):
+        class Unseekable(io.RawIOBase):
+            def __init__(self, data):
+                self._inner = io.BytesIO(data)
+
+            def readable(self):
+                return True
+
+            def readinto(self, b):
+                return self._inner.readinto(b)
+
+        w = init_weights(config(), SeededRng(28))
+        buf = io.BytesIO()
+        save_weights(w, buf)
+        back = load_weights(io.BufferedReader(Unseekable(buf.getvalue())))
+        assert np.array_equal(back.w[0], w.w[0])
+
 
 class TestConfigValidation:
     def test_spectral_radius_must_be_below_one(self):
