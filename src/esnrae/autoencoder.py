@@ -8,19 +8,20 @@ Four variants share one training scheme:
 * ``ml-elm-ae``   stacked feed-forward random layers
 
 Training sets the targets equal to the inputs, solves the readout in closed
-form, picks the candidate network with the smallest reconstruction error,
-ties the input weights to the transpose of that readout, recomputes every
-layer's states under the new input map, and refits the readout so the stored
-reconstruction error describes the final encoder. The extracted features are
-the last layer's recomputed states.
+form, picks a candidate network by its reconstruction error under a tie
+rule (see :func:`fit`), ties the input weights to the transpose of that
+readout, recomputes every layer's states under the new input map, and refits
+the readout so the stored reconstruction error describes the final encoder.
+The extracted features are the last layer's recomputed states.
 """
 
 from __future__ import annotations
 
 import json
+import math
 import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO
+from typing import BinaryIO, Callable, TypeVar
 
 import numpy as np
 
@@ -31,12 +32,16 @@ from .reservoir import (
     EsnWeights,
     ReservoirConfig,
     StateTrace,
+    _read_block,
     _read_exact,
+    _write_block,
     init_weights,
     load_weights,
     run_collect,
     save_weights,
 )
+
+T = TypeVar("T")
 
 KINDS = ("esn-rae", "ml-esn-rae", "elm-ae", "ml-elm-ae")
 
@@ -75,6 +80,8 @@ class TrainedAutoencoder:
     entry-exact). ``w_out_refit`` is the readout refit on the recomputed
     states; ``reconstruction_error`` pairs with it and describes the final
     network, while ``pre_tying_error`` is the winning selection score.
+    ``candidate_errors`` holds the errors of the candidates scored, in index
+    order; selection can decide before all ``spec.n_candidates`` are drawn.
     """
 
     kind: str
@@ -152,13 +159,64 @@ def _tie_input_weights(weights: EsnWeights, w_out: np.ndarray) -> EsnWeights:
     return replace(weights, w_in=w_in)
 
 
+# Candidates whose errors differ by less than RTOL times the error of the
+# all-zero readout (||U||_F / p) are tied. With fewer patterns than hidden
+# units every readout interpolates and the errors are round-off, about 1e-15
+# of that scale; the tolerance sits six orders of magnitude above it.
+RTOL = 1e-9
+
+
+def _select(
+    score: Callable[[int], tuple[float, T]], n_candidates: int, tol: float
+) -> tuple[int, T, list[float]]:
+    """Choose among candidates 0, 1, ... scored lazily in index order.
+
+    The rule: the chosen candidate is the lowest index whose error is within
+    ``tol`` of the minimum. ``score(c)`` returns candidate c's error and a
+    payload, or raises NumericalError for a degenerate candidate (error inf).
+    Scoring stops after candidate c once ``err_c <= tol`` and every earlier
+    error is above ``err_c + tol``: errors are >= 0, so c is then within
+    ``tol`` of any minimum and no earlier candidate can be, whatever the
+    unscored candidates would give. Only the payloads of candidates within
+    ``tol`` of the running minimum are kept; the minimum only falls, so a
+    dropped payload never becomes the choice again.
+
+    Returns the chosen index, its payload and the errors of the candidates
+    scored, in index order. Raises TrainingError when all are degenerate.
+    """
+    errors: list[float] = []
+    tied: dict[int, T] = {}
+    for c in range(n_candidates):
+        try:
+            err, payload = score(c)
+        except NumericalError:
+            errors.append(math.inf)
+            continue
+        errors.append(err)
+        floor = min(errors) + tol
+        tied = {i: kept for i, kept in tied.items() if errors[i] <= floor}
+        if err <= floor:
+            tied[c] = payload
+        if err <= tol and all(e > err + tol for e in errors[:-1]):
+            break
+    if not tied:
+        raise TrainingError(f"all {n_candidates} candidate networks were degenerate")
+    best = min(tied)
+    return best, tied[best], errors
+
+
 def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
     """Train one autoencoder of the given kind on a training set.
 
-    Generates ``n_candidates`` random networks, scores each by its readout
-    reconstruction error, keeps the best (ties break to the lowest index),
-    ties the input weights to the readout transpose, recomputes all layer
-    states in one pass, and refits the readout on the recomputed states.
+    Draws candidate networks in index order and scores each by its readout
+    reconstruction error, until :func:`_select`'s rule has decided: the
+    lowest index within ``RTOL * ||U||_F / p`` of the minimum error wins. With
+    fewer patterns than hidden units the readout interpolates, so the first
+    non-degenerate candidate is chosen and no other is drawn; otherwise all
+    ``n_candidates`` are scored. Then ties the input weights to the winner's
+    readout transpose, recomputes all layer states in one pass, and refits the
+    readout on the recomputed states. ``candidate_errors`` holds the errors of
+    the candidates scored.
     """
     _validate_kind(kind, spec.cfg)
     if spec.cfg.input_dim != d_train.input_len:
@@ -170,27 +228,14 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
     base = SeededRng(spec.seed)
     recurrent = is_recurrent(kind)
 
-    candidates: list[tuple[EsnWeights, np.ndarray, float] | None] = []
-    errors: list[float] = []
-    for c in range(spec.n_candidates):
-        try:
-            wts = init_weights(spec.cfg, base.child(f"cand{c}"), recurrent=recurrent)
-            trace = run_collect(wts, targets, spec.reset_policy)
-            w_out = train_readout(trace, targets, spec.pinv_tolerance)
-            err = reconstruction_error(w_out, trace, targets)
-        except NumericalError:
-            candidates.append(None)
-            errors.append(float("inf"))
-            continue
-        candidates.append((wts, w_out, err))
-        errors.append(err)
+    def score(c: int) -> tuple[float, tuple[EsnWeights, np.ndarray]]:
+        wts = init_weights(spec.cfg, base.child(f"cand{c}"), recurrent=recurrent)
+        trace = run_collect(wts, targets, spec.reset_policy)
+        w_out = train_readout(trace, targets, spec.pinv_tolerance)
+        return reconstruction_error(w_out, trace, targets), (wts, w_out)
 
-    best = int(np.argmin(errors))
-    if candidates[best] is None:
-        raise TrainingError(
-            f"all {spec.n_candidates} candidate networks were degenerate"
-        )
-    wts, w_out, pre_err = candidates[best]
+    tol = RTOL * float(np.linalg.norm(targets, "fro")) / targets.shape[0]
+    best, (wts, w_out), errors = _select(score, spec.n_candidates, tol)
 
     tied = _tie_input_weights(wts, w_out)
     trace = run_collect(tied, targets, spec.reset_policy)
@@ -203,7 +248,7 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
         w_out=w_out,
         w_out_refit=w_out_refit,
         reconstruction_error=final_err,
-        pre_tying_error=pre_err,
+        pre_tying_error=errors[best],
         candidate_errors=tuple(errors),
         chosen_candidate=best,
         features_train=trace.h.copy(),
@@ -228,25 +273,11 @@ def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
 #   magic   8 bytes  b"ESNRAE\x00\x01"
 #   u32     JSON header length in bytes, then that many UTF-8 bytes
 #   weight container (see reservoir module)
-#   w_out, w_out_refit, feature blocks: u32 rows, u32 cols, float64 row-major
+#   w_out, w_out_refit, feature blocks, in the weight container's block format:
+#   u32 rows, u32 cols, float64 row-major
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"ESNRAE\x00\x01"
-
-
-def _write_matrix(fh: BinaryIO, a: np.ndarray) -> None:
-    a2 = np.ascontiguousarray(np.asarray(a, dtype="<f8"))
-    fh.write(struct.pack("<II", a2.shape[0], a2.shape[1]))
-    fh.write(a2.tobytes())
-
-
-def _read_matrix(fh: BinaryIO) -> np.ndarray:
-    header = fh.read(8)
-    if len(header) != 8:
-        raise FormatError("encoder envelope truncated (matrix header)")
-    rows, cols = struct.unpack("<II", header)
-    raw = _read_exact(fh, rows * cols * 8, "encoder envelope matrix data")
-    return np.frombuffer(raw, dtype="<f8").astype(float).reshape(rows, cols)
 
 
 def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
@@ -278,9 +309,9 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         save_weights(t.weights, fh)
-        _write_matrix(fh, t.w_out)
-        _write_matrix(fh, t.w_out_refit)
-        _write_matrix(fh, t.features_train)
+        _write_block(fh, t.w_out)
+        _write_block(fh, t.w_out_refit)
+        _write_block(fh, t.features_train)
 
 
 def _read_meta(fh: BinaryIO, path: str) -> dict:
@@ -298,12 +329,52 @@ def _read_meta(fh: BinaryIO, path: str) -> dict:
     return meta
 
 
+def _is_int(value: object) -> bool:
+    return type(value) is int
+
+
+def _is_number(value: object) -> bool:
+    return type(value) in (int, float)
+
+
+def _check_training_meta(meta: dict, path: str) -> None:
+    """Types of the training metadata, and the selection fields against each other."""
+    errors = meta.get("candidate_errors")
+    for key, value, ok, expected in (
+        ("seed", meta.get("seed"), _is_int, "an integer"),
+        ("n_candidates", meta.get("n_candidates"), _is_int, "an integer"),
+        ("chosen_candidate", meta.get("chosen_candidate"), _is_int, "an integer"),
+        ("reconstruction_error", meta.get("reconstruction_error"), _is_number, "a number"),
+        ("pre_tying_error", meta.get("pre_tying_error"), _is_number, "a number"),
+        ("pinv_tolerance", meta.get("pinv_tolerance"),
+         lambda v: v is None or _is_number(v), "a number or null"),
+        ("config.input_scaling", meta["config"].get("input_scaling"), _is_number, "a number"),
+        ("candidate_errors", errors,
+         lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
+    ):
+        if not ok(value):
+            raise FormatError(f"{path}: metadata {key}={value!r} is not {expected}")
+    n_candidates, chosen = meta["n_candidates"], meta["chosen_candidate"]
+    if not 1 <= len(errors) <= n_candidates:
+        raise FormatError(
+            f"{path}: metadata holds {len(errors)} candidate errors for "
+            f"n_candidates={n_candidates}"
+        )
+    if not 0 <= chosen < len(errors):
+        raise FormatError(
+            f"{path}: metadata chosen_candidate={chosen!r} is not an index into "
+            f"{len(errors)} candidate errors"
+        )
+
+
 def load_autoencoder(path: str) -> TrainedAutoencoder:
     """Inverse of :func:`save_autoencoder`, bit-exact.
 
     A file that is not a complete, self-consistent envelope raises
     FormatError; that includes metadata whose reservoir config disagrees with
-    the stored weight dimensions.
+    the stored weight dimensions, ill-typed training metadata, and a
+    ``chosen_candidate`` or ``candidate_errors`` that do not fit together or
+    with ``n_candidates``.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -311,9 +382,9 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
             raise FormatError(f"{path}: not an encoder envelope (magic {magic!r})")
         meta = _read_meta(fh, path)
         weights = load_weights(fh)
-        w_out = _read_matrix(fh)
-        w_out_refit = _read_matrix(fh)
-        features = _read_matrix(fh)
+        w_out = _read_block(fh, "encoder envelope")
+        w_out_refit = _read_block(fh, "encoder envelope")
+        features = _read_block(fh, "encoder envelope")
     config = meta["config"]
     for key, actual in (
         ("n_hidden", weights.n_hidden),
@@ -328,6 +399,7 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
             )
     if meta.get("kind") not in KINDS:
         raise FormatError(f"{path}: unknown autoencoder kind {meta.get('kind')!r}")
+    _check_training_meta(meta, path)
     try:
         spec = RaeTrainSpec(
             cfg=ReservoirConfig(**config),

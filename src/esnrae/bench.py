@@ -26,7 +26,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autoencoder import KINDS, RaeTrainSpec, encode, fit, is_multilayer
+from .autoencoder import KINDS, RaeTrainSpec, _is_int, _is_number, encode, fit, is_multilayer
 from .classifier import ClassifierParams, evaluate, train_classifier
 from .data import Dataset, NoiseSpec, inject_noise, normalize, parse_ucr
 from .errors import FormatError, NumericalError
@@ -48,6 +48,12 @@ CSV_COLUMNS = (
     "error",
 )
 _TIMING_COLUMNS = ("fit_ms", "encode_ms", "classify_ms")
+
+
+_INT_FIELDS = ("n_hidden", "n_layers_ml", "n_candidates", "n_runs", "base_seed", "epochs",
+               "workers")
+_NUMBER_FIELDS = ("connectivity", "spectral_radius", "input_scaling", "reg_lambda")
+_BOOL_FIELDS = ("raw_baseline", "normalize")
 
 
 @dataclass(frozen=True)
@@ -79,6 +85,17 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "noise_levels", tuple(self.noise_levels))
+        # A spec read from JSON can hold any type; a wrong one would otherwise
+        # surface as an uncaught TypeError deep inside a cell.
+        for names, ok, expected in (
+            (_INT_FIELDS, _is_int, "an integer"),
+            (_NUMBER_FIELDS, _is_number, "a number"),
+            (_BOOL_FIELDS, lambda v: type(v) is bool, "true or false"),
+            (("pinv_tolerance",), lambda v: v is None or _is_number(v), "a number or null"),
+        ):
+            for name in names:
+                if not ok(getattr(self, name)):
+                    raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
         for m in self.methods:
             if m not in KINDS:
                 raise ValueError(f"unknown method {m!r}; expected one of {KINDS}")
@@ -481,13 +498,13 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
     for key in ("train_path", "test_path"):
         if key not in doc:
             raise FormatError(f"{path}: missing required key {key!r}")
-    if "methods" in doc:
-        doc["methods"] = tuple(doc["methods"])
-    if "noise_levels" in doc:
-        doc["noise_levels"] = tuple(
-            None if v is None else float(v) for v in doc["noise_levels"]
-        )
     try:
+        if "methods" in doc:
+            doc["methods"] = tuple(doc["methods"])
+        if "noise_levels" in doc:
+            doc["noise_levels"] = tuple(
+                None if v is None else float(v) for v in doc["noise_levels"]
+            )
         return ExperimentSpec(**doc)
     except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -30,7 +30,7 @@ from .data import (
     write_ucr,
 )
 from .errors import FormatError, NumericalError
-from .reservoir import PRESETS, ReservoirConfig
+from .reservoir import PRESETS, ReservoirConfig, resolve_preset
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -62,14 +62,9 @@ def _features_as_dataset(features: np.ndarray, source: Dataset) -> Dataset:
 def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
     n_hidden, connectivity = args.n_hidden, args.connectivity
     if args.preset:
-        key = args.preset.lower().replace("_", "").replace("-", "")
-        if key not in PRESETS:
-            raise FormatError(
-                f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}"
-            )
-        preset = PRESETS[key]
-        n_hidden = int(preset["n_hidden"]) if n_hidden is None else n_hidden
-        connectivity = preset["connectivity"] if connectivity is None else connectivity
+        preset_n, preset_beta = resolve_preset(args.preset)
+        n_hidden = preset_n if n_hidden is None else n_hidden
+        connectivity = preset_beta if connectivity is None else connectivity
     if n_hidden is None or connectivity is None:
         raise FormatError(
             "reservoir size and connectivity required: pass --preset or both "
@@ -133,7 +128,8 @@ def cmd_encode(args) -> int:
     write_ucr(_features_as_dataset(features_test, d_test), stem + "_test_features.csv")
     print(f"wrote {stem}.esnae and train/test feature files")
     print(f"reconstruction error: {ae.reconstruction_error:.6g} "
-          f"(pre-tying {ae.pre_tying_error:.6g}, candidate {ae.chosen_candidate})")
+          f"(pre-tying {ae.pre_tying_error:.6g}, candidate {ae.chosen_candidate} "
+          f"({len(ae.candidate_errors)} of {spec.n_candidates} evaluated))")
     return EXIT_OK
 
 
@@ -173,11 +169,7 @@ def cmd_bench(args) -> int:
     if args.methods:
         overrides["methods"] = tuple(args.methods.split(","))
     if args.preset:
-        key = args.preset.lower().replace("_", "").replace("-", "")
-        if key not in PRESETS:
-            raise FormatError(f"unknown preset {args.preset!r}; available: {sorted(PRESETS)}")
-        overrides["n_hidden"] = int(PRESETS[key]["n_hidden"])
-        overrides["connectivity"] = PRESETS[key]["connectivity"]
+        overrides["n_hidden"], overrides["connectivity"] = resolve_preset(args.preset)
     spec = bench_mod.load_spec(_require_file(args.spec), overrides)
     _echo({"command": "bench", "spec_file": args.spec, **spec.echo()})
 

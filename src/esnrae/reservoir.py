@@ -39,6 +39,17 @@ PRESETS: dict[str, dict[str, float]] = {
 }
 
 
+def resolve_preset(name: str) -> tuple[int, float]:
+    """(n_hidden, connectivity) of a preset; case, ``_`` and ``-`` are ignored.
+
+    An unknown name raises FormatError listing the available presets.
+    """
+    key = name.lower().replace("_", "").replace("-", "")
+    if key not in PRESETS:
+        raise FormatError(f"unknown preset {name!r}; available: {sorted(PRESETS)}")
+    return int(PRESETS[key]["n_hidden"]), PRESETS[key]["connectivity"]
+
+
 @dataclass(frozen=True)
 class ReservoirConfig:
     """Structural parameters of the encoder."""
@@ -340,6 +351,7 @@ _MAGIC = b"ESNWGT\x00\x01"
 
 
 def _write_block(fh: BinaryIO, a: np.ndarray) -> None:
+    """Write a float64 block; the encoder envelope stores its matrices this way too."""
     a2 = np.ascontiguousarray(np.atleast_2d(np.asarray(a, dtype="<f8")))
     fh.write(struct.pack("<II", a2.shape[0], a2.shape[1]))
     fh.write(a2.tobytes())
@@ -364,12 +376,16 @@ def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
     return raw
 
 
-def _read_block(fh: BinaryIO) -> np.ndarray:
+def _read_block(fh: BinaryIO, what: str = "weight container") -> np.ndarray:
+    """Inverse of :func:`_write_block`; a 1-D array comes back as one row.
+
+    ``what`` names the file kind in the FormatError of a truncated block.
+    """
     header = fh.read(8)
     if len(header) != 8:
-        raise FormatError("weight container truncated (block header)")
+        raise FormatError(f"{what} truncated (block header)")
     rows, cols = struct.unpack("<II", header)
-    raw = _read_exact(fh, rows * cols * 8, "weight container block data")
+    raw = _read_exact(fh, rows * cols * 8, f"{what} block data")
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(rows, cols)
 
 

@@ -174,6 +174,125 @@ class TestFit:
         assert a.candidate_errors == b.candidate_errors
 
 
+def full_choice(errors, tol):
+    """The selection rule over every candidate: lowest index within tol of the minimum."""
+    best = min(errors)
+    return min(i for i, e in enumerate(errors) if e <= best + tol)
+
+
+class TestSelectionRule:
+    TOL = 1e-9
+
+    def scripted(self, errors):
+        def score(c):
+            if np.isinf(errors[c]):
+                raise NumericalError("degenerate")
+            return errors[c], c
+
+        return score
+
+    def random_errors(self, g):
+        n = int(g.integers(1, 11))
+        regime = g.integers(4)
+        errors = []
+        for _ in range(n):
+            if g.random() < 0.25:
+                errors.append(float("inf"))
+            elif regime == 0:  # round-off, as when the readout interpolates
+                errors.append(float(g.uniform(0.0, 6e-15)))
+            elif regime == 1:  # near-ties around one value
+                errors.append(0.3 + float(g.uniform(-1.5, 1.5)) * self.TOL)
+            elif regime == 2:  # near-ties at the tolerance itself
+                errors.append(float(g.uniform(0.0, 2.5)) * self.TOL)
+            else:  # well separated
+                errors.append(float(g.uniform(0.0, 1.0)))
+        return errors
+
+    def test_lazy_choice_equals_full_evaluation(self):
+        g = SeededRng(50).child("errors").generator()
+        for _ in range(2000):
+            errors = self.random_errors(g)
+            if all(np.isinf(errors)):
+                with pytest.raises(TrainingError):
+                    ae_mod._select(self.scripted(errors), len(errors), self.TOL)
+                continue
+            chosen, payload, seen = ae_mod._select(self.scripted(errors), len(errors), self.TOL)
+            assert chosen == payload == full_choice(errors, self.TOL)
+            assert seen == errors[: len(seen)]
+            assert chosen < len(seen)
+
+    def test_round_off_stops_after_first_non_degenerate(self):
+        errors = [float("inf"), float("inf"), 3e-15, 1e-15, 2e-15]
+        chosen, _, seen = ae_mod._select(self.scripted(errors), len(errors), self.TOL)
+        assert chosen == 2
+        assert seen == errors[:3]
+
+    def test_near_tie_goes_to_lowest_index_in_reach_of_the_minimum(self):
+        # 0 is within tol of 1 but not of 2, the minimum; 1 is within tol of 2.
+        t = self.TOL
+        errors = [0.5, 0.5 - 0.9 * t, 0.5 - 1.5 * t]
+        chosen, payload, seen = ae_mod._select(self.scripted(errors), 3, t)
+        assert chosen == payload == 1
+        assert seen == errors
+
+
+class TestLazyFit:
+    def counting_run_collect(self, monkeypatch, degenerate_calls=()):
+        calls = []
+        real = ae_mod.run_collect
+
+        def counted(weights, patterns, policy):
+            calls.append(len(calls))
+            if len(calls) - 1 in degenerate_calls:
+                return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
+            return real(weights, patterns, policy)
+
+        monkeypatch.setattr(ae_mod, "run_collect", counted)
+        return calls
+
+    @pytest.mark.parametrize("kind", ["esn-rae", "elm-ae"])
+    def test_interpolating_fit_trains_one_candidate(self, monkeypatch, kind):
+        calls = self.counting_run_collect(monkeypatch)
+        d = random_dataset(p=20, k=12, seed=51)
+        t = fit(d, train_spec(n=40, k=12, candidates=6, seed=52), kind)
+        assert len(calls) == 2  # one candidate, then the tied recompute
+        assert t.chosen_candidate == 0
+        assert len(t.candidate_errors) == 1
+        assert t.spec.n_candidates == 6
+        assert t.pre_tying_error == t.candidate_errors[0]
+
+    def test_separated_errors_score_every_candidate(self, monkeypatch):
+        calls = self.counting_run_collect(monkeypatch)
+        d = random_dataset(p=50, k=12, seed=6)
+        t = fit(d, train_spec(n=8, k=12, candidates=6, seed=7), "esn-rae")
+        assert len(calls) == 7
+        assert len(t.candidate_errors) == 6
+
+    def test_degenerate_first_candidate_chooses_the_second(self, monkeypatch):
+        calls = self.counting_run_collect(monkeypatch, degenerate_calls=(0,))
+        d = random_dataset(p=20, k=12, seed=53)
+        t = fit(d, train_spec(n=40, k=12, candidates=6, seed=54), "esn-rae")
+        assert t.chosen_candidate == 1
+        assert len(t.candidate_errors) == 2
+        assert np.isinf(t.candidate_errors[0])
+        assert len(calls) == 3
+
+    def test_choice_is_the_full_evaluation_choice(self):
+        # Score all candidates by hand and apply the rule to every error.
+        d = random_dataset(p=20, k=12, seed=55)
+        spec = train_spec(n=40, k=12, candidates=4, seed=56)
+        errors = []
+        for c in range(spec.n_candidates):
+            wts = ae_mod.init_weights(spec.cfg, SeededRng(spec.seed).child(f"cand{c}"))
+            trace = ae_mod.run_collect(wts, d.patterns, spec.reset_policy)
+            errors.append(reconstruction_error(train_readout(trace, d.patterns), trace, d.patterns))
+        tol = ae_mod.RTOL * np.linalg.norm(d.patterns, "fro") / d.n_patterns
+        assert max(errors) <= tol
+        t = fit(d, spec, "esn-rae")
+        assert t.chosen_candidate == full_choice(errors, tol) == 0
+        assert t.candidate_errors == tuple(errors[:1])
+
+
 class TestElmStructure:
     def test_feed_forward_ignores_pattern_order(self):
         # Shuffling the patterns permutes the feature columns identically.
@@ -382,6 +501,47 @@ class TestEnvelopeErrors:
         raw = self.rebuild(envelope, json.dumps(meta).encode())
         with pytest.raises(FormatError):
             self.load(tmp_path, raw)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            pytest.param(lambda m: m.update(seed="s"), id="seed-string"),
+            pytest.param(lambda m: m.update(seed=None), id="seed-null"),
+            pytest.param(lambda m: m.update(seed=1.5), id="seed-float"),
+            pytest.param(lambda m: m.update(n_candidates=2.5), id="n_candidates-float"),
+            pytest.param(lambda m: m.update(chosen_candidate="a"), id="chosen-string"),
+            pytest.param(lambda m: m.update(chosen_candidate=3), id="chosen-past-errors"),
+            pytest.param(lambda m: m.update(chosen_candidate=-1), id="chosen-negative"),
+            pytest.param(lambda m: m.update(pinv_tolerance="a"), id="pinv_tolerance-string"),
+            pytest.param(lambda m: m.update(reconstruction_error="a"), id="recon-string"),
+            pytest.param(lambda m: m.update(pre_tying_error=None), id="pre_tying-null"),
+            pytest.param(lambda m: m.update(candidate_errors=[]), id="errors-empty"),
+            pytest.param(lambda m: m.update(candidate_errors=[0.1] * 4), id="errors-too-many"),
+            pytest.param(lambda m: m.update(candidate_errors=["a", 0.1, 0.2]), id="errors-string"),
+            pytest.param(lambda m: m.update(candidate_errors=0.1), id="errors-not-a-list"),
+            pytest.param(lambda m: m["config"].update(input_scaling="a"), id="input_scaling-string"),
+        ],
+    )
+    def test_ill_typed_training_metadata(self, tmp_path, envelope, edit):
+        import json
+
+        from esnrae import FormatError
+
+        _, meta_bytes, _ = self.split(envelope)
+        meta = json.loads(meta_bytes)
+        assert meta["n_candidates"] == 3 and len(meta["candidate_errors"]) == 3
+        edit(meta)
+        with pytest.raises(FormatError):
+            self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
+
+    def test_fewer_errors_than_candidates_loads(self, tmp_path, envelope):
+        import json
+
+        _, meta_bytes, _ = self.split(envelope)
+        meta = json.loads(meta_bytes)
+        meta.update(candidate_errors=[1e-15], chosen_candidate=0, pinv_tolerance=1e-10)
+        back = self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
+        assert back.candidate_errors == (1e-15,) and back.spec.n_candidates == 3
 
     def test_untouched_envelope_still_loads(self, tmp_path, envelope):
         import json

@@ -346,6 +346,28 @@ class TestLoadSpec:
         with pytest.raises(FormatError, match="test_path"):
             bench_mod.load_spec(str(path))
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            '"methods": 5',
+            '"noise_levels": 5',
+            '"noise_levels": ["x"]',
+            '"n_candidates": 2.5',
+            '"n_hidden": 20.5',
+            '"epochs": "50"',
+            '"connectivity": "a"',
+            '"normalize": "no"',
+            '"pinv_tolerance": "a"',
+        ],
+    )
+    def test_ill_typed_values_are_format_errors_naming_the_file(self, tmp_path, extra):
+        from esnrae import FormatError
+
+        path = tmp_path / "spec.json"
+        path.write_text('{"train_path": "a", "test_path": "b", ' + extra + "}")
+        with pytest.raises(FormatError, match="spec.json"):
+            bench_mod.load_spec(str(path))
+
 
 class TestSharedClassIds:
     def test_test_split_ids_follow_training_labels(self, synth_files, tmp_path):

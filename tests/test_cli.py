@@ -88,6 +88,19 @@ class TestEncodeCommand:
         assert code == 2
         assert "mnist" in stderr
 
+    def test_reports_how_many_candidates_were_evaluated(self, synth_files, tmp_path, capsys):
+        # 40 training patterns, 60 units: the first candidate interpolates
+        # and decides the choice, so the other two are never drawn.
+        train, test = synth_files
+        code, stdout, _ = run_cli(
+            ["encode", "--train", train, "--test", test, "--n-hidden", "60",
+             "--connectivity", "0.2", "--candidates", "3",
+             "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 0
+        assert "candidate 0 (1 of 3 evaluated)" in stdout
+
 
 class TestClassifyCommand:
     def test_raw_classification(self, synth_files, capsys):
@@ -151,6 +164,18 @@ class TestBenchCommand:
         code, _, stderr = run_cli(["bench", "--spec", spec], capsys)
         assert code == 2
         assert "hologram" in stderr
+
+    def test_ill_typed_methods_exit_2_naming_the_spec(self, synth_files, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, synth_files, methods=5)
+        code, _, stderr = run_cli(["bench", "--spec", spec], capsys)
+        assert code == 2
+        assert "spec.json" in stderr
+
+    def test_unknown_preset_exits_2(self, synth_files, tmp_path, capsys):
+        spec = self.write_spec(tmp_path, synth_files)
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--preset", "mnist"], capsys)
+        assert code == 2
+        assert "mnist" in stderr
 
     def test_flag_overrides_take_precedence(self, synth_files, tmp_path, capsys):
         spec = self.write_spec(tmp_path, synth_files)

@@ -14,7 +14,7 @@ from esnrae import (
     spectral_radius,
     step,
 )
-from esnrae.reservoir import PRESETS
+from esnrae.reservoir import PRESETS, resolve_preset
 
 
 def config(n=20, k=8, beta=0.2, layers=1, rho=0.9, scaling=1.0):
@@ -294,3 +294,15 @@ class TestConfigValidation:
     def test_layer_count_positive(self):
         with pytest.raises(ValueError):
             config(layers=0)
+
+
+class TestResolvePreset:
+    @pytest.mark.parametrize("name", ["ecgfivedays", "ECGFiveDays", "ECG_Five-Days"])
+    def test_spellings_resolve_to_one_preset(self, name):
+        assert resolve_preset(name) == (100, 0.04)
+
+    def test_unknown_preset_names_it_and_the_choices(self):
+        from esnrae import FormatError
+
+        with pytest.raises(FormatError, match="mnist.*earthquakes"):
+            resolve_preset("mnist")
