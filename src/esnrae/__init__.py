@@ -27,7 +27,16 @@ from .bench import (
     ratio_table,
     run_experiment,
 )
-from .classifier import ClassifierParams, EvalResult, LinearClassifier, evaluate, train_classifier
+from .classifier import (
+    ClassifierParams,
+    EvalResult,
+    LinearClassifier,
+    Standardized,
+    evaluate,
+    standardize,
+    train_classifier,
+    train_classifiers,
+)
 from .data import (
     Dataset,
     NoiseSpec,

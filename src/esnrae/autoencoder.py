@@ -69,6 +69,8 @@ class RaeTrainSpec:
             raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
         if self.reset_policy not in ("carry", "reset"):
             raise ValueError(f"reset_policy must be carry|reset, got {self.reset_policy!r}")
+        if self.pinv_tolerance is not None and not self.pinv_tolerance >= 0:
+            raise ValueError(f"pinv_tolerance must be >= 0, got {self.pinv_tolerance}")
 
 
 @dataclass(frozen=True)

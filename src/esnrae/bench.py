@@ -4,19 +4,25 @@ One experiment runs every (method, noise level, run) cell of a grid over a
 single train/test dataset pair. Each run r uses seed ``base_seed + r`` for
 the weight draws and for the noise draws, so any cell is reproducible in
 isolation and noise is re-sampled per run. All methods within one (level,
-run) see the same corrupted data. Cells are independent jobs on a bounded
-worker pool; the report is a keyed merge, deterministic regardless of
+run) see the same corrupted data. Cells are encoded as independent jobs on a
+bounded worker pool; the report is a keyed merge, deterministic regardless of
 completion order.
 
 The pipeline per cell: parse -> z-score with train statistics (optional) ->
 inject noise into the targeted splits -> fit autoencoder on train -> encode
 train and test -> train the linear classifier on train features -> error
 rate on test features. The ``raw`` baseline skips the encoder and feeds the
-(preprocessed) patterns straight to the classifier.
+(preprocessed) patterns straight to the classifier. Runs go one at a time:
+all cells of a run are encoded first, keeping only each cell's standardized
+training design and test features, then the run's classifiers train together
+in one lockstep pass (each bit-identical to training it alone), each cell is
+scored, and the run's features are dropped. Memory beyond one cell therefore
+holds one run's features.
 """
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import math
@@ -26,8 +32,23 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .autoencoder import KINDS, RaeTrainSpec, _is_int, _is_number, encode, fit, is_multilayer
-from .classifier import ClassifierParams, evaluate, train_classifier
+from .autoencoder import (
+    KINDS,
+    RaeTrainSpec,
+    _is_int,
+    _is_number,
+    _validate_kind,
+    encode,
+    fit,
+    is_multilayer,
+)
+from .classifier import (
+    ClassifierParams,
+    Standardized,
+    evaluate,
+    standardize,
+    train_classifiers,
+)
 from .data import Dataset, NoiseSpec, inject_noise, normalize, parse_ucr
 from .errors import FormatError, NumericalError
 from .reservoir import ReservoirConfig, radius_memo
@@ -107,6 +128,22 @@ class ExperimentSpec:
             raise ValueError(f"noise_targets must be train|test|both, got {self.noise_targets!r}")
         if self.workers < 1:
             raise ValueError(f"workers must be >= 1, got {self.workers}")
+        # Every value a cell would refuse is refused here, by the cell's own
+        # checks; the input length is unknown until the data is read.
+        ClassifierParams(reg_lambda=self.reg_lambda, epochs=self.epochs, seed=self.base_seed)
+        for level in self.noise_levels:
+            if level is not None:
+                NoiseSpec(snr_db=level, seed=self.base_seed, targets=self.noise_targets)
+        for method in self.methods:
+            cfg = self.reservoir_config(method, input_dim=1)
+            _validate_kind(method, cfg)
+            RaeTrainSpec(
+                cfg=cfg,
+                n_candidates=self.n_candidates,
+                seed=self.base_seed,
+                reset_policy=self.reset_policy,
+                pinv_tolerance=self.pinv_tolerance,
+            )
 
     def all_methods(self) -> tuple[str, ...]:
         return self.methods + ((RAW_BASELINE,) if self.raw_baseline else ())
@@ -227,6 +264,94 @@ def _noised(
     return inject_noise(d_train, ns), inject_noise(d_test, ns)
 
 
+def _failed(cell: CellResult, exc: Exception) -> CellResult:
+    return replace(cell, error=f"{type(exc).__name__}: {exc}")
+
+
+# A cell between encoding and classification: its result so far and, unless
+# encoding failed, its standardized training design, training labels, test
+# features (one column per pattern) and test labels.
+_Encoded = tuple[CellResult, tuple[Standardized, np.ndarray, np.ndarray, np.ndarray] | None]
+
+
+def _encode_cell(
+    spec: ExperimentSpec,
+    dataset: str,
+    method: str,
+    level: float | None,
+    run: int,
+    d_train: Dataset,
+    d_test: Dataset,
+) -> _Encoded:
+    """Fit one cell's autoencoder and encode both splits with it.
+
+    Keeps only the standardized training design and the test features; the
+    autoencoder and its training features are dropped here.
+    """
+    seed = spec.base_seed + run
+    cell = CellResult(dataset=dataset, method=method, snr_db=level, run=run, seed=seed)
+    try:
+        if method == RAW_BASELINE:
+            design = standardize(d_train.patterns.T)
+            return cell, (design, d_train.labels, d_test.patterns.T, d_test.labels)
+        train_spec = RaeTrainSpec(
+            cfg=spec.reservoir_config(method, d_train.input_len),
+            n_candidates=spec.n_candidates,
+            seed=seed,
+            reset_policy=spec.reset_policy,
+            pinv_tolerance=spec.pinv_tolerance,
+        )
+        t0 = time.perf_counter()
+        ae = fit(d_train, train_spec, method)
+        fit_ms = (time.perf_counter() - t0) * 1e3
+        t0 = time.perf_counter()
+        f_test = encode(ae, d_test)
+        design = standardize(ae.features_train)
+        encode_ms = (time.perf_counter() - t0) * 1e3
+    except (ValueError, NumericalError, FormatError) as exc:
+        return _failed(cell, exc), None
+    cell = replace(
+        cell, recon_error=ae.reconstruction_error, fit_ms=fit_ms, encode_ms=encode_ms
+    )
+    return cell, (design, d_train.labels, f_test, d_test.labels)
+
+
+def _classify(spec: ExperimentSpec, encoded: list[_Encoded]) -> list[CellResult]:
+    """Train the classifiers of the encoded cells in one pass, then score each.
+
+    A cell's ``classify_ms`` is its evaluation time plus an equal share of the
+    shared training pass.
+    """
+    done = [cell for cell, _ in encoded]
+    ready = [i for i, (_, data) in enumerate(encoded) if data is not None]
+    if not ready:
+        return done
+    jobs = []
+    for i in ready:
+        design, y_train, _, _ = encoded[i][1]
+        params = ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=done[i].seed)
+        jobs.append((design, y_train, params))
+    t0 = time.perf_counter()
+    try:
+        classifiers = train_classifiers(jobs)
+    except (ValueError, NumericalError, FormatError) as exc:
+        for i in ready:
+            done[i] = _failed(done[i], exc)
+        return done
+    share_ms = (time.perf_counter() - t0) * 1e3 / len(ready)
+    for i, clf in zip(ready, classifiers):
+        _, _, f_test, y_test = encoded[i][1]
+        t0 = time.perf_counter()
+        try:
+            result = evaluate(clf, f_test, y_test)
+        except (ValueError, NumericalError, FormatError) as exc:
+            done[i] = _failed(done[i], exc)
+            continue
+        classify_ms = share_ms + (time.perf_counter() - t0) * 1e3
+        done[i] = replace(done[i], er=result.error_rate, classify_ms=classify_ms)
+    return done
+
+
 def _run_cell(
     spec: ExperimentSpec,
     dataset: str,
@@ -236,89 +361,58 @@ def _run_cell(
     d_train: Dataset,
     d_test: Dataset,
 ) -> CellResult:
-    seed = spec.base_seed + run
-    shell = CellResult(dataset=dataset, method=method, snr_db=level, run=run, seed=seed)
-    try:
-        recon = None
-        fit_ms = encode_ms = 0.0
-        if method == RAW_BASELINE:
-            f_train = d_train.patterns.T
-            f_test = d_test.patterns.T
-        else:
-            cfg = spec.reservoir_config(method, d_train.input_len)
-            train_spec = RaeTrainSpec(
-                cfg=cfg,
-                n_candidates=spec.n_candidates,
-                seed=seed,
-                reset_policy=spec.reset_policy,
-                pinv_tolerance=spec.pinv_tolerance,
-            )
-            t0 = time.perf_counter()
-            ae = fit(d_train, train_spec, method)
-            fit_ms = (time.perf_counter() - t0) * 1e3
-            recon = ae.reconstruction_error
-            t0 = time.perf_counter()
-            f_train = ae.features_train
-            f_test = encode(ae, d_test)
-            encode_ms = (time.perf_counter() - t0) * 1e3
-        t0 = time.perf_counter()
-        clf = train_classifier(
-            f_train,
-            d_train.labels,
-            ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=seed),
-        )
-        result = evaluate(clf, f_test, d_test.labels)
-        classify_ms = (time.perf_counter() - t0) * 1e3
-        return replace(
-            shell,
-            er=result.error_rate,
-            recon_error=recon,
-            fit_ms=fit_ms,
-            encode_ms=encode_ms,
-            classify_ms=classify_ms,
-        )
-    except (ValueError, NumericalError, FormatError) as exc:
-        return replace(shell, error=f"{type(exc).__name__}: {exc}")
+    """One cell on its own: encode, train its classifier, score it."""
+    return _classify(spec, [_encode_cell(spec, dataset, method, level, run, d_train, d_test)])[0]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Execute the full grid and return the merged report."""
+    """Execute the full grid and return the merged report.
+
+    Runs go one at a time: the run's cells are encoded (on the worker pool
+    when ``workers > 1``), its classifiers train in one
+    :func:`~esnrae.classifier.train_classifiers` pass, and its features are
+    dropped before the next run starts.
+    """
     t_start = time.perf_counter()
     d_train, d_test = _prepare_data(spec)
     dataset = d_train.name
-
-    prepared: dict[tuple[float | None, int], tuple[Dataset, Dataset]] = {}
-    for level in spec.noise_levels:
-        for run in range(spec.n_runs):
-            prepared[(level, run)] = _noised(
-                spec, d_train, d_test, level, spec.base_seed + run
-            )
-
-    jobs = [
-        (method, level, run)
-        for method in spec.all_methods()
-        for level in spec.noise_levels
-        for run in range(spec.n_runs)
-    ]
-
-    def work(job: tuple[str, float | None, int]) -> CellResult:
-        method, level, run = job
-        dtr, dte = prepared[(level, run)]
-        return _run_cell(spec, dataset, method, level, run, dtr, dte)
+    grid = [(method, level) for method in spec.all_methods() for level in spec.noise_levels]
+    # A multi-layer fit needs the most memory, so those cells are encoded
+    # first, while the fewest other cells' features are held.
+    encode_order = sorted(grid, key=lambda cell: not is_multilayer(cell[0]))
 
     # A recurrent draw depends only on (seed, stream, N, beta), so cells that
     # differ only in noise level or method share the spectral radius of their
     # draws. The memo closes with this call, even when a cell raises.
-    with radius_memo():
-        if spec.workers == 1 or len(jobs) == 1:
-            cells = [work(j) for j in jobs]
-        else:
-            with ThreadPoolExecutor(max_workers=spec.workers) as pool:
-                cells = list(pool.map(work, jobs))
+    serial = spec.workers == 1 or len(grid) == 1
+    cells: list[CellResult] = []
+    with radius_memo(), (
+        contextlib.nullcontext() if serial else ThreadPoolExecutor(max_workers=spec.workers)
+    ) as pool:
+        for run in range(spec.n_runs):
+            # All methods within one (level, run) see the same corrupted data.
+            noised = {
+                level: _noised(spec, d_train, d_test, level, spec.base_seed + run)
+                for level in spec.noise_levels
+            }
+
+            def work(cell: tuple[str, float | None]) -> _Encoded:
+                method, level = cell
+                return _encode_cell(spec, dataset, method, level, run, *noised[level])
+
+            encoded = [work(c) for c in encode_order] if pool is None else list(
+                pool.map(work, encode_order)
+            )
+            cells += _classify(spec, encoded)
+            del encoded, noised
 
     # Keyed merge: report order follows the spec's grid, not completion order.
     by_key = {(c.method, c.snr_db, c.run): c for c in cells}
-    ordered = tuple(by_key[j] for j in jobs)
+    ordered = tuple(
+        by_key[(method, level, run)]
+        for method, level in grid
+        for run in range(spec.n_runs)
+    )
     return ExperimentReport(
         spec=spec,
         dataset=dataset,

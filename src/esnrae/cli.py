@@ -171,6 +171,8 @@ def cmd_bench(args) -> int:
     if args.preset:
         overrides["n_hidden"], overrides["connectivity"] = resolve_preset(args.preset)
     spec = bench_mod.load_spec(_require_file(args.spec), overrides)
+    _require_file(spec.train_path)
+    _require_file(spec.test_path)
     _echo({"command": "bench", "spec_file": args.spec, **spec.echo()})
 
     report = bench_mod.run_experiment(spec)

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -125,6 +126,40 @@ class TestRunExperiment:
         assert math.isnan(report.mean_er("elm-ae", None))
         good = [c for c in report.cells if c.method == "esn-rae"]
         assert all(c.valid for c in good)
+
+    def test_failed_cell_leaves_its_runs_other_cells_unchanged(self, synth_files, monkeypatch):
+        spec = small_spec(synth_files, noise_levels=(None, 10.0))
+        clean = run_experiment(spec)
+        real_fit = bench_mod.fit
+
+        def failing_fit(d, spec, kind):
+            if kind == "elm-ae":
+                raise NumericalError("synthetic failure for test")
+            return real_fit(d, spec, kind)
+
+        monkeypatch.setattr(bench_mod, "fit", failing_fit)
+        failed = run_experiment(spec)
+        for before, after in zip(clean.cells, failed.cells):
+            if after.method == "elm-ae":
+                assert after.error == "NumericalError: synthetic failure for test"
+                assert after.er is None
+            else:
+                assert after.valid
+                assert (after.er, after.recon_error) == (before.er, before.recon_error)
+
+    def test_report_independent_of_worker_count(self, synth_files):
+        def untimed(report):
+            return [replace(c, fit_ms=0.0, encode_ms=0.0, classify_ms=0.0) for c in report.cells]
+
+        spec = small_spec(synth_files, noise_levels=(None, 10.0), workers=1)
+        serial = run_experiment(spec)
+        pooled = run_experiment(replace(spec, workers=3))
+        assert untimed(serial) == untimed(pooled)
+
+    def test_n_layers_ml_only_checked_when_a_multilayer_method_runs(self, synth_files):
+        small_spec(synth_files, n_layers_ml=1)
+        with pytest.raises(ValueError, match="n_layers"):
+            small_spec(synth_files, n_layers_ml=1, methods=("ml-elm-ae",))
 
     def test_unknown_method_rejected_before_compute(self, synth_files):
         with pytest.raises(ValueError, match="unknown method"):

@@ -4,7 +4,7 @@ import sys
 import time
 
 import numpy as np
-
+import pytest
 
 from esnrae import load_autoencoder, parse_ucr
 from esnrae.cli import main
@@ -206,6 +206,43 @@ class TestBenchCommand:
         assert code == 4
         assert "invalid" in stderr
         assert (tmp_path / "r3" / "synth_report.csv").exists()
+
+    @pytest.mark.parametrize("key", ["train_path", "test_path"])
+    def test_missing_data_file_exits_2_naming_it(self, synth_files, tmp_path, capsys, key):
+        missing = str(tmp_path / "nonexistent" / "x.txt")
+        spec = self.write_spec(tmp_path, synth_files, **{key: missing})
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert missing in stderr
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"epochs": 0},
+            {"reg_lambda": 0},
+            {"reset_policy": "bounce"},
+            {"n_candidates": 0},
+            {"connectivity": 2.0},
+            {"n_hidden": 0},
+            {"n_layers_ml": 1, "methods": ["esn-rae", "ml-esn-rae"]},
+            {"spectral_radius": -1},
+            {"pinv_tolerance": -1},
+            {"noise_levels": [None, float("inf")]},
+        ],
+        ids=lambda extra: ",".join(extra),
+    )
+    def test_value_a_cell_would_refuse_exits_2_before_any_cell(
+        self, synth_files, tmp_path, capsys, monkeypatch, extra
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, **extra)
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "spec.json" in stderr
+        assert not fitted
 
     def test_no_timings_replay_byte_identical(self, synth_files, tmp_path, capsys):
         spec = self.write_spec(tmp_path, synth_files, n_runs=1, noise_levels=[None])

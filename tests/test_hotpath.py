@@ -2,7 +2,7 @@
 
 Each shortcut (one spectral radius per distinct draw, a grid-scoped radius
 memo, no product with an all-zero recurrent matrix, one shape check per
-``run_collect``, the trimmed Pegasos loop) is pinned against the plain
+``run_collect``, the lockstep Pegasos loop) is pinned against the plain
 computation it replaces.
 """
 
@@ -22,7 +22,13 @@ from esnrae import (
     sparse_random_matrix,
     step,
 )
-from esnrae.classifier import ClassifierParams, _pegasos
+from esnrae.classifier import (
+    ClassifierParams,
+    Standardized,
+    _pegasos,
+    standardize,
+    train_classifiers,
+)
 
 
 def config(n=16, k=6, beta=0.25, layers=1):
@@ -209,3 +215,105 @@ class TestPegasos:
         params = ClassifierParams(reg_lambda=reg_lambda, epochs=7, seed=0)
         rng = SeededRng(10).child("class0")
         assert np.array_equal(_pegasos(x, y, params, rng), reference_pegasos(x, y, params, rng))
+
+
+def reference_design(features):
+    """The classifier's standardized design as first written."""
+    mean = features.mean(axis=1)
+    std = features.std(axis=1)
+    scale = np.where(std == 0.0, 1.0, std)
+    z = (features - mean[:, None]) / scale[:, None]
+    return np.hstack([z.T, np.ones((z.shape[1], 1))]), mean, scale
+
+
+class TestLockstepPegasos:
+    """One train_classifiers call equals the per-problem loop, row by row."""
+
+    @staticmethod
+    def job(g, width, n_classes, order, reg_lambda, seed, n_patterns=40):
+        labels = np.arange(n_patterns) % n_classes
+        g.shuffle(labels)
+        features = g.standard_normal((width, n_patterns)) + labels
+        features = np.asfortranarray(features) if order == "F" else np.ascontiguousarray(features)
+        return features, labels, ClassifierParams(reg_lambda=reg_lambda, epochs=4, seed=seed)
+
+    @pytest.mark.parametrize("reg_lambda", [1e-4, 1e-1])
+    def test_each_row_equals_the_reference_loop(self, reg_lambda):
+        g = SeededRng(11).generator()
+        jobs = [
+            self.job(g, width, n_classes, order, reg_lambda, seed, n_patterns)
+            for seed, (width, n_classes, order, n_patterns) in enumerate(
+                [(12, 2, "C", 40), (12, 3, "F", 40), (7, 3, "C", 40), (7, 2, "F", 40),
+                 (12, 2, "F", 40), (12, 2, "C", 30)]
+            )
+        ]
+        classifiers = train_classifiers(jobs)
+        assert len(classifiers) == len(jobs)
+        for (features, labels, params), clf in zip(jobs, classifiers):
+            x, mean, scale = reference_design(features)
+            # C-ordered features give a design with strided rows.
+            assert x.flags.f_contiguous == features.flags.c_contiguous
+            assert np.array_equal(clf.mean, mean) and np.array_equal(clf.scale, scale)
+            assert clf.weights.shape == (labels.max() + 1, x.shape[1])
+            for c, row in enumerate(clf.weights):
+                y = np.where(labels == c, 1.0, -1.0)
+                rng = SeededRng(params.seed).child(f"class{c}")
+                assert np.array_equal(row, reference_pegasos(x, y, params, rng))
+
+    def test_standardized_jobs_equal_feature_jobs(self):
+        g = SeededRng(12).generator()
+        jobs = [self.job(g, 9, 3, order, 1e-3, 5) for order in ("C", "F")]
+        direct = train_classifiers(jobs)
+        prepared = train_classifiers([(standardize(f), y, p) for f, y, p in jobs])
+        for a, b in zip(direct, prepared):
+            assert np.array_equal(a.weights, b.weights)
+            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.scale, b.scale)
+
+    @staticmethod
+    def margin_on_the_edge(params, y, seed):
+        """A 2-pattern design whose second margin is 1.0 up to summation order.
+
+        OpenBLAS sums ``w @ x`` in one order when both vectors have unit
+        stride and in another when x is a row of an F-ordered matrix. The
+        search returns a C-ordered design for which the two orders put the
+        margin of the second step on opposite sides of 1.0, or None.
+        """
+        first, second = SeededRng(params.seed).child("class0").generator().permutation(2)
+        g = SeededRng(seed).generator()
+        for _ in range(400):
+            x = np.empty((2, 40))
+            x[first] = g.standard_normal(40)
+            w = (1.0 / params.reg_lambda) * y[first] * x[first]
+            norm = np.linalg.norm(w)
+            if norm > 1.0 / np.sqrt(params.reg_lambda):
+                w *= (1.0 / np.sqrt(params.reg_lambda)) / norm
+            v = g.standard_normal(40)
+            x[second] = y[second] * v / (w @ v)
+            unit = y[second] * (w @ x[second])
+            strided = y[second] * (w @ np.asfortranarray(x)[second])
+            if (unit < 1.0) != (strided < 1.0):
+                return x
+        return None
+
+    def test_margin_dot_keeps_the_row_stride(self):
+        params = ClassifierParams(reg_lambda=0.1, epochs=1, seed=3)
+        labels = np.array([0, 1])
+        y = np.where(labels == 0, 1.0, -1.0)
+        x = self.margin_on_the_edge(params, y, seed=13)
+        if x is None:
+            pytest.skip("this BLAS sums unit-stride and strided dots alike")
+        x_f = np.asfortranarray(x)
+        rng = SeededRng(params.seed).child("class0")
+        by_rows = reference_pegasos(x, y, params, rng)
+        by_strided_rows = reference_pegasos(x_f, y, params, rng)
+        assert not np.array_equal(by_rows, by_strided_rows)
+        assert np.array_equal(_pegasos(x, y, params, rng), by_rows)
+        assert np.array_equal(_pegasos(x_f, y, params, rng), by_strided_rows)
+        # Both layouts in one lockstep pass.
+        stats = dict(mean=np.zeros(39), scale=np.ones(39))
+        both = train_classifiers([
+            (Standardized(x=x, strided_rows=False, **stats), labels, params),
+            (Standardized(x=x, strided_rows=True, **stats), labels, params),
+        ])
+        assert np.array_equal(both[0].weights[0], by_rows)
+        assert np.array_equal(both[1].weights[0], by_strided_rows)
