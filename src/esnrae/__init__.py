@@ -22,7 +22,6 @@ from .bench import (
     ExperimentSpec,
     emit_csv,
     emit_markdown,
-    emit_report,
     load_spec,
     ratio_table,
     run_experiment,

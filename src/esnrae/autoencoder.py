@@ -300,8 +300,6 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
             "connectivity": t.spec.cfg.connectivity,
             "spectral_radius_target": t.spec.cfg.spectral_radius_target,
             "n_layers": t.spec.cfg.n_layers,
-            "hidden_activation": t.spec.cfg.hidden_activation,
-            "output_activation": t.spec.cfg.output_activation,
             "input_scaling": t.spec.cfg.input_scaling,
         },
     }

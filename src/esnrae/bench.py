@@ -4,9 +4,9 @@ One experiment runs every (method, noise level, run) cell of a grid over a
 single train/test dataset pair. Each run r uses seed ``base_seed + r`` for
 the weight draws and for the noise draws, so any cell is reproducible in
 isolation and noise is re-sampled per run. All methods within one (level,
-run) see the same corrupted data. Cells are encoded as independent jobs on a
-bounded worker pool; the report is a keyed merge, deterministic regardless of
-completion order.
+run) see the same corrupted data. Cells run serially in one process, so each
+cell's timing columns measure that cell alone; the report follows the spec's
+grid order.
 
 The pipeline per cell: parse -> z-score with train statistics (optional) ->
 inject noise into the targeted splits -> fit autoencoder on train -> encode
@@ -22,12 +22,10 @@ holds one run's features.
 
 from __future__ import annotations
 
-import contextlib
 import io
 import json
 import math
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -49,7 +47,7 @@ from .classifier import (
     standardize,
     train_classifiers,
 )
-from .data import Dataset, NoiseSpec, inject_noise, normalize, parse_ucr
+from .data import Dataset, NoiseSpec, _read_lines, inject_noise, normalize, parse_ucr
 from .errors import FormatError, NumericalError
 from .reservoir import ReservoirConfig, radius_memo
 
@@ -71,8 +69,7 @@ CSV_COLUMNS = (
 _TIMING_COLUMNS = ("fit_ms", "encode_ms", "classify_ms")
 
 
-_INT_FIELDS = ("n_hidden", "n_layers_ml", "n_candidates", "n_runs", "base_seed", "epochs",
-               "workers")
+_INT_FIELDS = ("n_hidden", "n_layers_ml", "n_candidates", "n_runs", "base_seed", "epochs")
 _NUMBER_FIELDS = ("connectivity", "spectral_radius", "input_scaling", "reg_lambda")
 _BOOL_FIELDS = ("raw_baseline", "normalize")
 
@@ -101,7 +98,6 @@ class ExperimentSpec:
     normalize: bool = True
     reg_lambda: float = 1e-4
     epochs: int = 50
-    workers: int = 4
 
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
@@ -126,8 +122,6 @@ class ExperimentSpec:
             raise ValueError("noise levels must be distinct")
         if self.noise_targets not in ("train", "test", "both"):
             raise ValueError(f"noise_targets must be train|test|both, got {self.noise_targets!r}")
-        if self.workers < 1:
-            raise ValueError(f"workers must be >= 1, got {self.workers}")
         # Every value a cell would refuse is refused here, by the cell's own
         # checks; the input length is unknown until the data is read.
         ClassifierParams(reg_lambda=self.reg_lambda, epochs=self.epochs, seed=self.base_seed)
@@ -368,10 +362,9 @@ def _run_cell(
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Execute the full grid and return the merged report.
 
-    Runs go one at a time: the run's cells are encoded (on the worker pool
-    when ``workers > 1``), its classifiers train in one
-    :func:`~esnrae.classifier.train_classifiers` pass, and its features are
-    dropped before the next run starts.
+    Runs go one at a time: the run's cells are encoded one after another, its
+    classifiers train in one :func:`~esnrae.classifier.train_classifiers`
+    pass, and its features are dropped before the next run starts.
     """
     t_start = time.perf_counter()
     d_train, d_test = _prepare_data(spec)
@@ -384,29 +377,22 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     # A recurrent draw depends only on (seed, stream, N, beta), so cells that
     # differ only in noise level or method share the spectral radius of their
     # draws. The memo closes with this call, even when a cell raises.
-    serial = spec.workers == 1 or len(grid) == 1
     cells: list[CellResult] = []
-    with radius_memo(), (
-        contextlib.nullcontext() if serial else ThreadPoolExecutor(max_workers=spec.workers)
-    ) as pool:
+    with radius_memo():
         for run in range(spec.n_runs):
             # All methods within one (level, run) see the same corrupted data.
             noised = {
                 level: _noised(spec, d_train, d_test, level, spec.base_seed + run)
                 for level in spec.noise_levels
             }
-
-            def work(cell: tuple[str, float | None]) -> _Encoded:
-                method, level = cell
-                return _encode_cell(spec, dataset, method, level, run, *noised[level])
-
-            encoded = [work(c) for c in encode_order] if pool is None else list(
-                pool.map(work, encode_order)
-            )
+            encoded = [
+                _encode_cell(spec, dataset, method, level, run, *noised[level])
+                for method, level in encode_order
+            ]
             cells += _classify(spec, encoded)
             del encoded, noised
 
-    # Keyed merge: report order follows the spec's grid, not completion order.
+    # Keyed merge: report order follows the spec's grid, not encoding order.
     by_key = {(c.method, c.snr_db, c.run): c for c in cells}
     ordered = tuple(
         by_key[(method, level, run)]
@@ -490,20 +476,9 @@ def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) 
         fh.write(buf.getvalue())
 
 
-def emit_report(report: ExperimentReport, path: str, format: str = "csv") -> None:
-    """Write the report as csv (machine-readable) or markdown (summary)."""
-    if format == "csv":
-        emit_csv(report, path)
-    elif format == "markdown":
-        emit_markdown(report, path)
-    else:
-        raise ValueError(f"format must be csv|markdown, got {format!r}")
-
-
 def parse_csv(path: str) -> list[dict[str, str]]:
     """Read back an emitted csv into one dict per data row."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = [ln.rstrip("\n") for ln in fh if not ln.startswith("#")]
+    lines = [ln.rstrip("\n") for ln in _read_lines(path) if not ln.startswith("#")]
     if not lines:
         raise FormatError(f"{path}: no csv content")
     header = lines[0].split(",")
@@ -575,14 +550,18 @@ def emit_markdown(report: ExperimentReport, path: str) -> None:
 
 
 def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from a flat JSON document plus flag overrides."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"{path}: invalid JSON: {exc}") from exc
+    """Build an ExperimentSpec from a flat JSON document plus flag overrides.
+
+    A ``workers`` key, from specs written when cells could run on a thread
+    pool, is accepted and ignored.
+    """
+    try:
+        doc = json.loads("".join(_read_lines(path)))
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
+    doc.pop("workers", None)
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     known = set(ExperimentSpec.__dataclass_fields__)

@@ -163,7 +163,6 @@ def cmd_bench(args) -> int:
     overrides = {
         "n_runs": args.runs,
         "base_seed": args.seed,
-        "workers": args.workers,
         "noise_targets": args.noise_targets,
     }
     if args.methods:
@@ -281,7 +280,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out-dir", default=".")
     p.add_argument("--runs", type=int, default=None)
     p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--workers", type=int, default=None)
     p.add_argument("--methods", default=None, help="comma-separated method subset")
     p.add_argument("--preset", default=None, help="override reservoir size/connectivity")
     p.add_argument("--noise-targets", default=None, choices=("train", "test", "both"),

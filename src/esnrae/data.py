@@ -95,6 +95,15 @@ def _detect_separator(line: str) -> str | None:
     return None
 
 
+def _read_lines(path: str) -> list[str]:
+    """The lines of a UTF-8 text file; other bytes are a FormatError naming it."""
+    with open(path, "r", encoding="utf-8") as fh:
+        try:
+            return fh.readlines()
+        except UnicodeDecodeError as exc:
+            raise FormatError(f"{path}: not UTF-8 text: {exc}") from None
+
+
 def parse_ucr(
     path: str,
     name: str = "",
@@ -110,9 +119,7 @@ def parse_ucr(
     a label outside them is a FormatError. Non-finite values (``nan``,
     ``inf``) are a FormatError naming the first line that holds one.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        raw_lines = fh.readlines()
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(raw_lines) if ln.strip()]
+    lines = [(i + 1, ln.strip()) for i, ln in enumerate(_read_lines(path)) if ln.strip()]
     if not lines:
         raise FormatError(f"{path}: file is empty")
 

@@ -59,8 +59,6 @@ class ReservoirConfig:
     connectivity: float = 0.1
     spectral_radius_target: float = 0.9
     n_layers: int = 1
-    hidden_activation: str = "tanh"
-    output_activation: str = "linear"
     input_scaling: float = 1.0
 
     def __post_init__(self):
@@ -77,10 +75,6 @@ class ReservoirConfig:
             )
         if self.n_layers < 1:
             raise ValueError(f"n_layers must be >= 1, got {self.n_layers}")
-        if self.hidden_activation != "tanh":
-            raise ValueError(f"unsupported hidden activation {self.hidden_activation!r}")
-        if self.output_activation != "linear":
-            raise ValueError(f"unsupported output activation {self.output_activation!r}")
 
 
 @dataclass(frozen=True)
@@ -88,16 +82,14 @@ class EsnWeights:
     """All weight matrices of one (possibly multi-layer) encoder.
 
     ``w[i]`` is the recurrent matrix of layer i (zero for ELM variants),
-    ``w_inter[i]`` connects layer i to layer i+1, ``b_e[i]`` is layer i's
-    bias vector and ``b_d`` the decoder bias (carried for the decoding map
-    but unused by pseudo-inverse readout training).
+    ``w_inter[i]`` connects layer i to layer i+1 and ``b_e[i]`` is layer i's
+    bias vector.
     """
 
     w_in: np.ndarray
     w: tuple[np.ndarray, ...]
     w_inter: tuple[np.ndarray, ...]
     b_e: tuple[np.ndarray, ...]
-    b_d: np.ndarray
 
     def __post_init__(self):
         object.__setattr__(self, "w", tuple(self.w))
@@ -115,8 +107,6 @@ class EsnWeights:
         for b in self.b_e:
             if b.shape != (n,):
                 raise ValueError(f"bias shape {b.shape} != ({n},)")
-        if self.b_d.shape != (self.input_dim,):
-            raise ValueError(f"decoder bias shape {self.b_d.shape} != ({self.input_dim},)")
 
     @property
     def n_hidden(self) -> int:
@@ -193,7 +183,6 @@ def init_weights(
     cfg: ReservoirConfig,
     rng: SeededRng,
     recurrent: bool = True,
-    zero_bias: bool = False,
 ) -> EsnWeights:
     """Draw a random weight set for the configuration.
 
@@ -202,9 +191,8 @@ def init_weights(
     the spectral radius target. A sparse draw with zero spectral radius is
     regenerated from the next sub-stream (bounded retries). ``recurrent=False``
     zeroes the recurrent matrices, which turns the network into the
-    feed-forward ELM variant. ``zero_bias`` suppresses the encoder bias terms
-    for the plain-ESN update rule. Inside :func:`radius_memo` a draw seen
-    before reuses its spectral radius; the weights are the same bits.
+    feed-forward ELM variant. Inside :func:`radius_memo` a draw seen before
+    reuses its spectral radius; the weights are the same bits.
     """
     n, k, m = cfg.n_hidden, cfg.input_dim, cfg.n_layers
 
@@ -235,16 +223,8 @@ def init_weights(
         rng.child(f"winter{i}").generator().uniform(-1.0, 1.0, (n, n))
         for i in range(1, m)
     ]
-    if zero_bias:
-        b_e = [np.zeros(n) for _ in range(m)]
-        b_d = np.zeros(k)
-    else:
-        b_e = [
-            rng.child(f"be{i}").generator().uniform(-1.0, 1.0, n)
-            for i in range(1, m + 1)
-        ]
-        b_d = rng.child("bd").generator().uniform(-1.0, 1.0, k)
-    return EsnWeights(w_in=w_in, w=tuple(w), w_inter=tuple(w_inter), b_e=tuple(b_e), b_d=b_d)
+    b_e = [rng.child(f"be{i}").generator().uniform(-1.0, 1.0, n) for i in range(1, m + 1)]
+    return EsnWeights(w_in=w_in, w=tuple(w), w_inter=tuple(w_inter), b_e=tuple(b_e))
 
 
 def _recurrent_layers(weights: EsnWeights) -> tuple[bool, ...]:
@@ -339,15 +319,18 @@ def run_collect(
 # Binary weight container.
 #
 # Layout (all little-endian):
-#   magic   8 bytes  b"ESNWGT\x00\x01"
+#   magic   8 bytes  b"ESNWGT\x00\x02"
 #   u32     layer count M
 #   u32     reservoir size N
 #   u32     input length K
-#   blocks: w_in, w[0..M-1], w_inter[0..M-2], b_e[0..M-1], b_d
+#   blocks: w_in, w[0..M-1], w_inter[0..M-2], b_e[0..M-1]
 # Each block is u32 rows, u32 cols, then rows*cols float64 row-major.
+# Version 1 also stored a decoder bias block after b_e, which no computation
+# read; it is refused rather than read.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"ESNWGT\x00\x01"
+_MAGIC = b"ESNWGT\x00\x02"
+_MAGIC_V1 = b"ESNWGT\x00\x01"
 
 
 def _write_block(fh: BinaryIO, a: np.ndarray) -> None:
@@ -400,12 +383,20 @@ def save_weights(weights: EsnWeights, fh: BinaryIO) -> None:
         _write_block(fh, a)
     for b in weights.b_e:
         _write_block(fh, b)
-    _write_block(fh, weights.b_d)
 
 
 def load_weights(fh: BinaryIO) -> EsnWeights:
-    """Inverse of :func:`save_weights`."""
+    """Inverse of :func:`save_weights`.
+
+    A version-1 container is refused with a FormatError: re-running
+    ``esnrae encode`` writes the same weights as version 2.
+    """
     magic = fh.read(len(_MAGIC))
+    if magic == _MAGIC_V1:
+        raise FormatError(
+            "weight container version 1 is no longer read (it held an unused "
+            "decoder bias); re-run `esnrae encode` to write version 2"
+        )
     if magic != _MAGIC:
         raise FormatError(f"not a weight container (magic {magic!r})")
     header = fh.read(12)
@@ -416,9 +407,8 @@ def load_weights(fh: BinaryIO) -> EsnWeights:
     w = tuple(_read_block(fh) for _ in range(m))
     w_inter = tuple(_read_block(fh) for _ in range(m - 1))
     b_e = tuple(_read_block(fh).reshape(-1) for _ in range(m))
-    b_d = _read_block(fh).reshape(-1)
     try:
-        loaded = EsnWeights(w_in=w_in, w=w, w_inter=w_inter, b_e=b_e, b_d=b_d)
+        loaded = EsnWeights(w_in=w_in, w=w, w_inter=w_inter, b_e=b_e)
     except ValueError as exc:
         raise FormatError(f"weight container blocks are inconsistent: {exc}") from exc
     if loaded.n_hidden != n or loaded.input_dim != k:

@@ -4,6 +4,13 @@ import pytest
 
 from esnrae import make_synthetic, write_ucr
 
+# Some tests start a fresh interpreter that imports esnrae. pytest's
+# ``pythonpath`` setting (pyproject.toml) reaches only this process, so a
+# bare ``pytest`` in a checkout passes the source tree on through the
+# environment as well.
+_SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+os.environ["PYTHONPATH"] = os.pathsep.join(filter(None, (_SRC, os.environ.get("PYTHONPATH"))))
+
 # Filename patterns the UCR archive ships under, old and new layout.
 _UCR_CANDIDATES = (
     "{name}_TRAIN.txt",

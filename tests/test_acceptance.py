@@ -83,7 +83,6 @@ def preset_spec(name, preset_key, **kw):
         connectivity=preset["connectivity"],
         n_runs=10,
         base_seed=0,
-        workers=4,
     )
     defaults.update(kw)
     return ExperimentSpec(**defaults)
@@ -218,7 +217,6 @@ class TestCriterion1PropertySuite:
             n_runs=2,
             noise_levels=(None, 10.0),
             epochs=15,
-            workers=2,
         )
         blobs = []
         for i in range(2):

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esnrae.autoencoder as ae_mod
 from esnrae import (
+    KINDS,
     Dataset,
+    FormatError,
     NumericalError,
     RaeTrainSpec,
     ReservoirConfig,
@@ -549,3 +553,66 @@ class TestEnvelopeErrors:
         _, meta_bytes, _ = self.split(envelope)
         raw = self.rebuild(envelope, json.dumps(json.loads(meta_bytes)).encode())
         assert self.load(tmp_path, raw).weights.n_hidden == 30
+
+
+def saved_envelope(t, path):
+    save_autoencoder(t, str(path))
+    return path.read_bytes()
+
+
+class TestEnvelopeProperties:
+    @pytest.fixture(scope="class")
+    def work(self, tmp_path_factory):
+        """A scratch directory and a small valid envelope (a few hundred bytes of blocks)."""
+        d = tmp_path_factory.mktemp("envprop")
+        t = fit(random_dataset(p=6, k=3, seed=50), train_spec(n=4, k=3, beta=1.0, seed=51), "esn-rae")
+        return d, saved_envelope(t, d / "valid.esnae")
+
+    @staticmethod
+    def load_bytes(d, raw):
+        path = d / "case.esnae"
+        path.write_bytes(raw)
+        return load_autoencoder(str(path))
+
+    def test_every_truncation_is_refused(self, work):
+        d, valid = work
+        for cut in range(len(valid)):
+            with pytest.raises(FormatError):
+                self.load_bytes(d, valid[:cut])
+
+    @given(data=st.data())
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_bytes_load_or_raise_format_error(self, work, data):
+        d, valid = work
+        raw = data.draw(
+            st.one_of(
+                st.binary(max_size=400),
+                st.binary(max_size=400).map(lambda b: valid[:8] + b),
+                st.tuples(st.integers(0, len(valid) - 1), st.integers(0, 255)).map(
+                    lambda e: valid[: e[0]] + bytes([e[1]]) + valid[e[0] + 1 :]
+                ),
+            )
+        )
+        try:
+            self.load_bytes(d, raw)
+        except FormatError:
+            pass
+
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31), candidates=st.integers(1, 3))
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_save_load_save_is_byte_identical(self, work, kind, seed, candidates):
+        d, _ = work
+        layers = 2 if ae_mod.is_multilayer(kind) else 1
+        spec = train_spec(n=4, k=3, beta=1.0, layers=layers, candidates=candidates, seed=seed)
+        first = saved_envelope(fit(random_dataset(p=6, k=3, seed=seed), spec, kind), d / "a.esnae")
+        again = saved_envelope(load_autoencoder(str(d / "a.esnae")), d / "b.esnae")
+        assert again == first
+
+    def test_envelope_holding_a_version_1_container_is_refused(self, work):
+        d, valid = work
+        hlen = int.from_bytes(valid[8:12], "little")
+        at = 12 + hlen  # the weight container starts after the metadata
+        assert valid[at : at + 8] == b"ESNWGT\x00\x02"
+        v1 = valid[:at] + b"ESNWGT\x00\x01" + valid[at + 8 :]
+        with pytest.raises(FormatError, match="version 1.*esnrae encode"):
+            self.load_bytes(d, v1)

@@ -235,6 +235,12 @@ class TestParseUcrBoundaries:
         with pytest.raises(FormatError, match="line 3: non-finite"):
             parse_ucr(str(path))
 
+    def test_non_utf8_file_is_a_format_error_naming_it(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"\xff\xfe\x00")
+        with pytest.raises(FormatError, match=r"bad\.txt: not UTF-8"):
+            parse_ucr(str(path))
+
     def test_non_finite_label_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("1,0.1,0.2\nnan,0.4,0.5\n")

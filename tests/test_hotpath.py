@@ -104,7 +104,6 @@ def grid_spec(synth_files, **kw):
         n_candidates=2,
         n_runs=2,
         noise_levels=(None, 10.0),
-        workers=1,
         epochs=5,
     )
     defaults.update(kw)
@@ -125,8 +124,7 @@ def count_radius_calls(monkeypatch):
 
 
 class TestGridSharesRadii:
-    @pytest.mark.parametrize("workers", [1, 3])
-    def test_one_radius_per_distinct_draw(self, synth_files, monkeypatch, workers):
+    def test_one_radius_per_distinct_draw(self, synth_files, monkeypatch):
         seen = count_radius_calls(monkeypatch)
         draws = []
         original_draw = res_mod.sparse_random_matrix
@@ -136,17 +134,14 @@ class TestGridSharesRadii:
             return original_draw(*args)
 
         monkeypatch.setattr(res_mod, "sparse_random_matrix", drawing)
-        report = run_experiment(grid_spec(synth_files, workers=workers))
+        report = run_experiment(grid_spec(synth_files))
         assert not report.invalid_cells
         # Per run: esn-rae draws w1 for each candidate; ml-esn-rae draws the
         # same w1 plus a w2. Every noise level repeats the clean level.
         distinct = 2 * 2 * 2  # runs x candidates x {w1, w2}
         assert len(draws) == 2 * 2 * 2 * 3  # levels x runs x candidates x layers drawn
         assert len(set(seen)) == distinct
-        if workers == 1:
-            assert len(seen) == distinct
-        # Pool workers may race on a draw not yet in the memo and both
-        # compute its radius; they store the same float.
+        assert len(seen) == distinct
 
     def test_report_equals_unshared_cells(self, synth_files):
         spec = grid_spec(synth_files)

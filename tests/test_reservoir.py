@@ -1,10 +1,14 @@
 import io
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esnrae import (
     EsnWeights,
+    FormatError,
     ReservoirConfig,
     SeededRng,
     init_weights,
@@ -28,15 +32,12 @@ def config(n=20, k=8, beta=0.2, layers=1, rho=0.9, scaling=1.0):
     )
 
 
-def manual_weights(w_in, w, w_inter=(), b_e=None, b_d=None):
+def manual_weights(w_in, w, w_inter=(), b_e=None):
     n = w_in.shape[0]
-    k = w_in.shape[1] - 1
     m = len(w)
     if b_e is None:
         b_e = tuple(np.zeros(n) for _ in range(m))
-    if b_d is None:
-        b_d = np.zeros(k)
-    return EsnWeights(w_in=w_in, w=tuple(w), w_inter=tuple(w_inter), b_e=b_e, b_d=b_d)
+    return EsnWeights(w_in=w_in, w=tuple(w), w_inter=tuple(w_inter), b_e=b_e)
 
 
 class TestInitWeights:
@@ -70,10 +71,6 @@ class TestInitWeights:
         w = init_weights(config(layers=2), SeededRng(4), recurrent=False)
         assert all(np.count_nonzero(layer) == 0 for layer in w.w)
         assert np.count_nonzero(w.w_inter[0]) > 0
-
-    def test_zero_bias_mode(self):
-        w = init_weights(config(), SeededRng(5), zero_bias=True)
-        assert np.count_nonzero(w.b_e[0]) == 0 and np.count_nonzero(w.b_d) == 0
 
     def test_input_scaling_applies_to_input_columns_only(self):
         base = init_weights(config(scaling=1.0), SeededRng(6))
@@ -216,7 +213,6 @@ class TestWeightContainer:
         assert all(np.array_equal(a, b) for a, b in zip(back.w, w.w))
         assert all(np.array_equal(a, b) for a, b in zip(back.w_inter, w.w_inter))
         assert all(np.array_equal(a, b) for a, b in zip(back.b_e, w.b_e))
-        assert np.array_equal(back.b_d, w.b_d)
 
     def test_bad_magic_rejected(self):
         from esnrae import FormatError
@@ -278,6 +274,59 @@ class TestWeightContainer:
         save_weights(w, buf)
         back = load_weights(io.BufferedReader(Unseekable(buf.getvalue())))
         assert np.array_equal(back.w[0], w.w[0])
+
+
+def saved(weights):
+    buf = io.BytesIO()
+    save_weights(weights, buf)
+    return buf.getvalue()
+
+
+# A small dense two-layer container: every block kind, a few hundred bytes.
+_SMALL = saved(init_weights(config(n=4, k=3, beta=1.0, layers=2), SeededRng(29)))
+
+
+class TestWeightContainerProperties:
+    def test_every_truncation_is_refused(self):
+        for cut in range(len(_SMALL)):
+            with pytest.raises(FormatError):
+                load_weights(io.BytesIO(_SMALL[:cut]))
+
+    @given(
+        st.one_of(
+            st.binary(max_size=400),
+            st.binary(max_size=400).map(lambda b: _SMALL[:8] + b),
+            st.tuples(st.integers(0, len(_SMALL) - 1), st.integers(0, 255)).map(
+                lambda e: _SMALL[: e[0]] + bytes([e[1]]) + _SMALL[e[0] + 1 :]
+            ),
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_bytes_load_or_raise_format_error(self, data):
+        try:
+            loaded = load_weights(io.BytesIO(data))
+        except FormatError:
+            return
+        assert saved(load_weights(io.BytesIO(saved(loaded)))) == saved(loaded)
+
+    @given(
+        n=st.integers(1, 6),
+        k=st.integers(1, 5),
+        layers=st.integers(1, 3),
+        recurrent=st.booleans(),
+        seed=st.integers(0, 2**31),
+    )
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_save_load_save_is_byte_identical(self, n, k, layers, recurrent, seed):
+        cfg = config(n=n, k=k, beta=1.0, layers=layers)
+        first = saved(init_weights(cfg, SeededRng(seed), recurrent=recurrent))
+        assert saved(load_weights(io.BytesIO(first))) == first
+
+    def test_version_1_container_is_refused(self):
+        # Version 1: the same blocks plus a trailing decoder-bias block.
+        v1 = b"ESNWGT\x00\x01" + _SMALL[8:] + struct.pack("<II", 1, 3) + bytes(24)
+        with pytest.raises(FormatError, match="version 1.*esnrae encode"):
+            load_weights(io.BytesIO(v1))
 
 
 class TestConfigValidation:
