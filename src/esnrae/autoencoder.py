@@ -61,34 +61,26 @@ class RaeTrainSpec:
     cfg: ReservoirConfig
     n_candidates: int = 10
     seed: int = 0
-    reset_policy: str = "carry"
-    pinv_tolerance: float | None = None
 
     def __post_init__(self):
         if self.n_candidates < 1:
             raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
-        if self.reset_policy not in ("carry", "reset"):
-            raise ValueError(f"reset_policy must be carry|reset, got {self.reset_policy!r}")
-        if self.pinv_tolerance is not None and not self.pinv_tolerance >= 0:
-            raise ValueError(f"pinv_tolerance must be >= 0, got {self.pinv_tolerance}")
 
 
 @dataclass(frozen=True)
 class TrainedAutoencoder:
-    """A fitted encoder: tied weights, readouts, and train features.
+    """A fitted encoder: tied weights, refit readout, and train features.
 
-    ``w_out`` is the winning candidate's readout, the matrix whose transpose
-    was copied into the input weights (so ``weights.w_in[:, 1:] == w_out.T``
-    entry-exact). ``w_out_refit`` is the readout refit on the recomputed
-    states; ``reconstruction_error`` pairs with it and describes the final
-    network, while ``pre_tying_error`` is the winning selection score.
+    ``weights.w_in[:, 1:]`` holds the transpose of the winning candidate's
+    readout, entry-exact. ``w_out_refit`` is the readout refit on the
+    recomputed states; ``reconstruction_error`` pairs with it and describes
+    the final network, while ``pre_tying_error`` is the winning selection score.
     ``candidate_errors`` holds the errors of the candidates scored, in index
     order; selection can decide before all ``spec.n_candidates`` are drawn.
     """
 
     kind: str
     weights: EsnWeights
-    w_out: np.ndarray
     w_out_refit: np.ndarray
     reconstruction_error: float
     pre_tying_error: float
@@ -98,18 +90,13 @@ class TrainedAutoencoder:
     spec: RaeTrainSpec
 
 
-def train_readout(
-    h: StateTrace | np.ndarray,
-    targets: np.ndarray,
-    tolerance: float | None = None,
-) -> np.ndarray:
+def train_readout(h: StateTrace | np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Closed-form least-squares readout: returns W_out with y(n) = W_out x(n).
 
     ``h`` holds one state column per pattern (N x p); ``targets`` one pattern
     per row (p x K) - for autoencoding, the input patterns themselves. Solved
     as W_out = (pinv(H^T) U)^T, which is the least-norm exact interpolation
-    when there are fewer patterns than hidden units. ``tolerance`` is the
-    relative singular-value cutoff of the pseudo-inverse.
+    when there are fewer patterns than hidden units.
     """
     hm = h.h if isinstance(h, StateTrace) else np.asarray(h, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -121,7 +108,7 @@ def train_readout(
         )
     if not np.any(hm):
         raise NumericalError("state matrix is identically zero; readout is undefined")
-    return (pinv(hm.T, tolerance) @ targets).T
+    return (pinv(hm.T) @ targets).T
 
 
 def reconstruction_error(
@@ -232,22 +219,21 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
 
     def score(c: int) -> tuple[float, tuple[EsnWeights, np.ndarray]]:
         wts = init_weights(spec.cfg, base.child(f"cand{c}"), recurrent=recurrent)
-        trace = run_collect(wts, targets, spec.reset_policy)
-        w_out = train_readout(trace, targets, spec.pinv_tolerance)
+        trace = run_collect(wts, targets)
+        w_out = train_readout(trace, targets)
         return reconstruction_error(w_out, trace, targets), (wts, w_out)
 
     tol = RTOL * float(np.linalg.norm(targets, "fro")) / targets.shape[0]
     best, (wts, w_out), errors = _select(score, spec.n_candidates, tol)
 
     tied = _tie_input_weights(wts, w_out)
-    trace = run_collect(tied, targets, spec.reset_policy)
-    w_out_refit = train_readout(trace, targets, spec.pinv_tolerance)
+    trace = run_collect(tied, targets)
+    w_out_refit = train_readout(trace, targets)
     final_err = reconstruction_error(w_out_refit, trace, targets)
 
     return TrainedAutoencoder(
         kind=kind,
         weights=tied,
-        w_out=w_out,
         w_out_refit=w_out_refit,
         reconstruction_error=final_err,
         pre_tying_error=errors[best],
@@ -264,22 +250,26 @@ def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
         raise ValueError(
             f"dataset length {d.input_len} != encoder input dim {t.weights.input_dim}"
         )
-    return run_collect(t.weights, d.patterns, t.spec.reset_policy).h
+    return run_collect(t.weights, d.patterns).h
 
 
 # ---------------------------------------------------------------------------
 # Trained-encoder envelope: a JSON metadata header followed by the binary
-# weight container, the two readout blocks, and the train-feature block.
+# weight container, the refit readout block, and the train-feature block.
 #
 # Layout (little-endian):
-#   magic   8 bytes  b"ESNRAE\x00\x01"
+#   magic   8 bytes  b"ESNRAE\x00\x02"
 #   u32     JSON header length in bytes, then that many UTF-8 bytes
 #   weight container (see reservoir module)
-#   w_out, w_out_refit, feature blocks, in the weight container's block format:
+#   w_out_refit, feature blocks, in the weight container's block format:
 #   u32 rows, u32 cols, float64 row-major
+# Version 1 also stored the winning candidate's readout, a copy of the tied
+# input columns, and the reset_policy and pinv_tolerance settings; it is
+# refused rather than read.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"ESNRAE\x00\x01"
+_MAGIC = b"ESNRAE\x00\x02"
+_MAGIC_V1 = b"ESNRAE\x00\x01"
 
 
 def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
@@ -288,8 +278,6 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
         "kind": t.kind,
         "seed": t.spec.seed,
         "n_candidates": t.spec.n_candidates,
-        "reset_policy": t.spec.reset_policy,
-        "pinv_tolerance": t.spec.pinv_tolerance,
         "reconstruction_error": t.reconstruction_error,
         "pre_tying_error": t.pre_tying_error,
         "candidate_errors": list(t.candidate_errors),
@@ -309,7 +297,6 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         save_weights(t.weights, fh)
-        _write_block(fh, t.w_out)
         _write_block(fh, t.w_out_refit)
         _write_block(fh, t.features_train)
 
@@ -322,7 +309,7 @@ def _read_meta(fh: BinaryIO, path: str) -> dict:
     blob = _read_exact(fh, hlen, f"{path}: encoder envelope metadata")
     try:
         meta = json.loads(blob.decode("utf-8"))
-    except (UnicodeDecodeError, json.JSONDecodeError) as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: unreadable encoder metadata: {exc}") from exc
     if not isinstance(meta, dict) or not isinstance(meta.get("config"), dict):
         raise FormatError(f"{path}: encoder metadata has no config object")
@@ -346,8 +333,6 @@ def _check_training_meta(meta: dict, path: str) -> None:
         ("chosen_candidate", meta.get("chosen_candidate"), _is_int, "an integer"),
         ("reconstruction_error", meta.get("reconstruction_error"), _is_number, "a number"),
         ("pre_tying_error", meta.get("pre_tying_error"), _is_number, "a number"),
-        ("pinv_tolerance", meta.get("pinv_tolerance"),
-         lambda v: v is None or _is_number(v), "a number or null"),
         ("config.input_scaling", meta["config"].get("input_scaling"), _is_number, "a number"),
         ("candidate_errors", errors,
          lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
@@ -378,11 +363,16 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
+        if magic == _MAGIC_V1:
+            raise FormatError(
+                f"{path}: encoder envelope version 1 is no longer read (it held a "
+                "copy of the tied input weights and two retired settings); re-run "
+                "`esnrae encode` to write version 2"
+            )
         if magic != _MAGIC:
             raise FormatError(f"{path}: not an encoder envelope (magic {magic!r})")
         meta = _read_meta(fh, path)
         weights = load_weights(fh)
-        w_out = _read_block(fh, "encoder envelope")
         w_out_refit = _read_block(fh, "encoder envelope")
         features = _read_block(fh, "encoder envelope")
     config = meta["config"]
@@ -405,13 +395,10 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
             cfg=ReservoirConfig(**config),
             n_candidates=meta["n_candidates"],
             seed=meta["seed"],
-            reset_policy=meta["reset_policy"],
-            pinv_tolerance=meta["pinv_tolerance"],
         )
         return TrainedAutoencoder(
             kind=meta["kind"],
             weights=weights,
-            w_out=w_out,
             w_out_refit=w_out_refit,
             reconstruction_error=meta["reconstruction_error"],
             pre_tying_error=meta["pre_tying_error"],

@@ -89,8 +89,6 @@ class ExperimentSpec:
     n_layers_ml: int = 2
     input_scaling: float = 1.0
     n_candidates: int = 10
-    reset_policy: str = "carry"
-    pinv_tolerance: float | None = None
     n_runs: int = 10
     base_seed: int = 0
     noise_levels: tuple[float | None, ...] = (None,)
@@ -108,7 +106,6 @@ class ExperimentSpec:
             (_INT_FIELDS, _is_int, "an integer"),
             (_NUMBER_FIELDS, _is_number, "a number"),
             (_BOOL_FIELDS, lambda v: type(v) is bool, "true or false"),
-            (("pinv_tolerance",), lambda v: v is None or _is_number(v), "a number or null"),
         ):
             for name in names:
                 if not ok(getattr(self, name)):
@@ -131,13 +128,7 @@ class ExperimentSpec:
         for method in self.methods:
             cfg = self.reservoir_config(method, input_dim=1)
             _validate_kind(method, cfg)
-            RaeTrainSpec(
-                cfg=cfg,
-                n_candidates=self.n_candidates,
-                seed=self.base_seed,
-                reset_policy=self.reset_policy,
-                pinv_tolerance=self.pinv_tolerance,
-            )
+            RaeTrainSpec(cfg=cfg, n_candidates=self.n_candidates, seed=self.base_seed)
 
     def all_methods(self) -> tuple[str, ...]:
         return self.methods + ((RAW_BASELINE,) if self.raw_baseline else ())
@@ -292,8 +283,6 @@ def _encode_cell(
             cfg=spec.reservoir_config(method, d_train.input_len),
             n_candidates=spec.n_candidates,
             seed=seed,
-            reset_policy=spec.reset_policy,
-            pinv_tolerance=spec.pinv_tolerance,
         )
         t0 = time.perf_counter()
         ae = fit(d_train, train_spec, method)
@@ -344,19 +333,6 @@ def _classify(spec: ExperimentSpec, encoded: list[_Encoded]) -> list[CellResult]
         classify_ms = share_ms + (time.perf_counter() - t0) * 1e3
         done[i] = replace(done[i], er=result.error_rate, classify_ms=classify_ms)
     return done
-
-
-def _run_cell(
-    spec: ExperimentSpec,
-    dataset: str,
-    method: str,
-    level: float | None,
-    run: int,
-    d_train: Dataset,
-    d_test: Dataset,
-) -> CellResult:
-    """One cell on its own: encode, train its classifier, score it."""
-    return _classify(spec, [_encode_cell(spec, dataset, method, level, run, d_train, d_test)])[0]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
@@ -447,6 +423,11 @@ def _level_label(level: float | None) -> str:
     return "clean" if level is None else f"{level:g} dB"
 
 
+def _csv_text(text: str) -> str:
+    """A free-text field with the csv's separator and line breaks replaced."""
+    return text.replace(",", ";").replace("\n", " ")
+
+
 def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) -> None:
     """Machine-readable long format, one row per cell.
 
@@ -459,7 +440,7 @@ def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) 
     buf.write(",".join(columns) + "\n")
     for c in report.cells:
         row = {
-            "dataset": c.dataset,
+            "dataset": _csv_text(c.dataset),
             "method": c.method,
             "snr_db": "" if c.snr_db is None else _fmt(c.snr_db),
             "run": str(c.run),
@@ -469,7 +450,7 @@ def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) 
             "fit_ms": f"{c.fit_ms:.3f}",
             "encode_ms": f"{c.encode_ms:.3f}",
             "classify_ms": f"{c.classify_ms:.3f}",
-            "error": c.error.replace(",", ";").replace("\n", " "),
+            "error": _csv_text(c.error),
         }
         buf.write(",".join(row[col] for col in columns) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
@@ -552,16 +533,31 @@ def emit_markdown(report: ExperimentReport, path: str) -> None:
 def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
     """Build an ExperimentSpec from a flat JSON document plus flag overrides.
 
-    A ``workers`` key, from specs written when cells could run on a thread
-    pool, is accepted and ignored.
+    Keys of retired settings are accepted and ignored: ``workers`` (cells
+    once ran on a thread pool) with any value, ``reset_policy`` only as
+    ``"carry"`` and ``pinv_tolerance`` only as null, the values every run
+    uses. Any other value of those two is a FormatError.
     """
     try:
         doc = json.loads("".join(_read_lines(path)))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
     doc.pop("workers", None)
+    if doc.get("reset_policy") == "reset":
+        raise FormatError(
+            f'{path}: reset_policy "reset" is retired: zeroing the state before each '
+            "pattern gave bit-identical features to elm-ae (ml-elm-ae for "
+            "ml-esn-rae), so run that method"
+        )
+    for key, kept in (("reset_policy", "carry"), ("pinv_tolerance", None)):
+        value = doc.pop(key, kept)
+        if value != kept:
+            raise FormatError(
+                f"{path}: {key} is retired and accepts only {json.dumps(kept)}, "
+                f"got {json.dumps(value)}"
+            )
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     known = set(ExperimentSpec.__dataclass_fields__)
@@ -579,5 +575,5 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
                 None if v is None else float(v) for v in doc["noise_levels"]
             )
         return ExperimentSpec(**doc)
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -93,12 +93,7 @@ def cmd_encode(args) -> int:
         d_train = normalize(d_train, stats)
         d_test = normalize(d_test, stats)
     cfg = _resolve_reservoir(args, d_train.input_len)
-    spec = RaeTrainSpec(
-        cfg=cfg,
-        n_candidates=args.candidates,
-        seed=args.seed,
-        reset_policy=args.reset_policy,
-    )
+    spec = RaeTrainSpec(cfg=cfg, n_candidates=args.candidates, seed=args.seed)
     _echo(
         {
             "command": "encode",
@@ -113,7 +108,6 @@ def cmd_encode(args) -> int:
             "input_scaling": cfg.input_scaling,
             "candidates": spec.n_candidates,
             "seed": spec.seed,
-            "reset_policy": spec.reset_policy,
             "out_dir": args.out_dir,
         }
     )
@@ -262,7 +256,6 @@ def build_parser() -> argparse.ArgumentParser:
     add_reservoir_flags(p)
     p.add_argument("--candidates", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
-    p.add_argument("--reset-policy", default="carry", choices=("carry", "reset"))
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out-dir", default=".")
     p.set_defaults(func=cmd_encode)

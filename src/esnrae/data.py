@@ -143,12 +143,16 @@ def parse_ucr(
             raise FormatError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
             )
-        label = values[0]
-        if not math.isfinite(label) or abs(label - round(label)) > 1e-9:
-            raise FormatError(
-                f"{path}: line {lineno}: class label {label!r} is not an integer"
-            )
-        originals.append(int(round(label)))
+        try:  # exact, also beyond the integers a float holds
+            label = int(fields[0])
+        except ValueError:  # a float-looking label such as 1.0000000e+00
+            label = values[0]
+            if not math.isfinite(label) or abs(label - round(label)) > 1e-9:
+                raise FormatError(
+                    f"{path}: line {lineno}: class label {label!r} is not an integer"
+                ) from None
+            label = int(round(label))
+        originals.append(label)
         rows.append(values[1:])
 
     patterns = np.array(rows, dtype=float)

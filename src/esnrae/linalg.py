@@ -77,25 +77,20 @@ def sparse_random_matrix(
     return flat.reshape(rows, cols)
 
 
-def pinv(m: np.ndarray, tolerance: float | None = None) -> np.ndarray:
+def pinv(m: np.ndarray) -> np.ndarray:
     """Moore-Penrose pseudo-inverse via SVD.
 
-    Singular values below ``tolerance * sigma_max`` are treated as zero;
-    the default tolerance is ``1e-12 * max(rows, cols)``. Handles the
-    ill-posed case where there are fewer samples than hidden units (the
-    least-norm solution).
+    Singular values below ``1e-12 * max(rows, cols) * sigma_max`` are treated
+    as zero. Handles the ill-posed case where there are fewer samples than
+    hidden units (the least-norm solution).
     """
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
-    if tolerance is None:
-        tolerance = 1e-12 * max(m.shape)
-    if tolerance < 0:
-        raise ValueError(f"tolerance must be >= 0, got {tolerance}")
     try:
-        return np.linalg.pinv(m, rcond=tolerance)
+        return np.linalg.pinv(m, rcond=1e-12 * max(m.shape))
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD failed to converge for {m.shape[0]}x{m.shape[1]} matrix "

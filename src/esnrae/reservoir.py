@@ -279,21 +279,16 @@ def step(
     return _advance(weights, _recurrent_layers(weights), prev, u)
 
 
-def run_collect(
-    weights: EsnWeights,
-    patterns: np.ndarray,
-    reset_policy: str = "carry",
-) -> StateTrace:
+def run_collect(weights: EsnWeights, patterns: np.ndarray) -> StateTrace:
     """Feed every pattern (one row each) and stack the resulting states.
 
-    Under ``carry`` the state flows from one pattern to the next, so column n
-    depends on all patterns up to n; under ``reset`` the state is zeroed
-    before each pattern. The initial state is always zero. Shapes are checked
-    once here; each pattern then goes through the same kernel as
-    :func:`step`, so the columns equal a chain of ``step`` calls bit for bit.
+    The state starts at zero and flows from one pattern to the next, so
+    column n depends on all patterns up to n. (Zeroing it before each pattern
+    instead would drop the recurrent term and give exactly the features of the
+    same draw without recurrence, the ELM variant.) Shapes are checked once
+    here; each pattern then goes through the same kernel as :func:`step`, so
+    the columns equal a chain of ``step`` calls bit for bit.
     """
-    if reset_policy not in ("carry", "reset"):
-        raise ValueError(f"reset_policy must be carry|reset, got {reset_policy!r}")
     patterns = np.asarray(patterns, dtype=float)
     if patterns.ndim != 2 or patterns.shape[1] != weights.input_dim:
         raise ValueError(
@@ -304,11 +299,8 @@ def run_collect(
     n, m = weights.n_hidden, weights.n_layers
     recurrent = _recurrent_layers(weights)
     traces = [np.empty((n, p)) for _ in range(m)]
-    zero = [np.zeros(n) for _ in range(m)]
-    state = zero
+    state = [np.zeros(n) for _ in range(m)]
     for j in range(p):
-        if reset_policy == "reset":
-            state = zero
         state = _advance(weights, recurrent, state, patterns[j])
         for i in range(m):
             traces[i][:, j] = state[i]

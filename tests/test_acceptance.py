@@ -30,11 +30,13 @@ from esnrae import (
     parse_ucr,
     pinv,
     ratio_table,
+    run_collect,
     run_experiment,
     scale_to_spectral_radius,
     sparse_random_matrix,
     spectral_radius,
     step,
+    train_readout,
 )
 from esnrae.bench import CellResult
 from esnrae.reservoir import PRESETS
@@ -167,7 +169,9 @@ class TestCriterion1PropertySuite:
             if abs(got - level) > 0.5:
                 failures.append(f"SNR {level} dB measured {got:.3f}")
 
-        # Tying invariant, entry-exact, for all four autoencoder kinds.
+        # Tying invariant, entry-exact, for all four autoencoder kinds: the
+        # input columns hold the transpose of the chosen candidate's readout,
+        # recomputed here from that candidate's draw.
         d = Dataset(
             name="t",
             patterns=SeededRng(106).child("d").generator().standard_normal((30, 20)),
@@ -179,7 +183,13 @@ class TestCriterion1PropertySuite:
             layers = 2 if kind.startswith("ml") else 1
             cfg = ReservoirConfig(n_hidden=15, input_dim=20, connectivity=0.2, n_layers=layers)
             t = fit(d, RaeTrainSpec(cfg=cfg, n_candidates=2, seed=107), kind)
-            gap = np.abs(t.weights.w_in[:, 1:] - t.w_out.T).max()
+            draw = init_weights(
+                cfg,
+                SeededRng(107).child(f"cand{t.chosen_candidate}"),
+                recurrent=not kind.endswith("elm-ae"),
+            )
+            w_out = train_readout(run_collect(draw, d.patterns), d.patterns)
+            gap = np.abs(t.weights.w_in[:, 1:] - w_out.T).max()
             if gap != 0.0:
                 failures.append(f"tying gap {gap} for {kind}")
 

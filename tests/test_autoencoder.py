@@ -34,11 +34,18 @@ def random_dataset(p=40, k=24, seed=0, split="train", classes=2):
     )
 
 
-def train_spec(n=30, k=24, beta=0.2, layers=1, candidates=3, seed=0, policy="carry"):
+def train_spec(n=30, k=24, beta=0.2, layers=1, candidates=3, seed=0):
     cfg = ReservoirConfig(
         n_hidden=n, input_dim=k, connectivity=beta, n_layers=layers
     )
-    return RaeTrainSpec(cfg=cfg, n_candidates=candidates, seed=seed, reset_policy=policy)
+    return RaeTrainSpec(cfg=cfg, n_candidates=candidates, seed=seed)
+
+
+def chosen_draw_and_readout(t, d):
+    """The chosen candidate's weights and readout, recomputed from its draw."""
+    rng = SeededRng(t.spec.seed).child(f"cand{t.chosen_candidate}")
+    wts = ae_mod.init_weights(t.spec.cfg, rng, recurrent=ae_mod.is_recurrent(t.kind))
+    return wts, train_readout(ae_mod.run_collect(wts, d.patterns), d.patterns)
 
 
 class TestTrainReadout:
@@ -115,7 +122,9 @@ class TestFit:
         d = random_dataset()
         for kind, layers in (("esn-rae", 1), ("ml-esn-rae", 2), ("elm-ae", 1), ("ml-elm-ae", 2)):
             t = fit(d, train_spec(layers=layers), kind)
-            assert np.array_equal(t.weights.w_in[:, 1:], t.w_out.T)
+            wts, w_out = chosen_draw_and_readout(t, d)
+            assert np.array_equal(t.weights.w_in[:, 1:], w_out.T)
+            assert np.array_equal(t.weights.w_in[:, 0], wts.w_in[:, 0])
 
     def test_selection_picks_minimum_error(self):
         d = random_dataset(p=50, k=12, seed=6)
@@ -129,7 +138,7 @@ class TestFit:
         t = fit(d, train_spec(candidates=1, seed=9), "esn-rae")
         assert t.chosen_candidate == 0
         assert len(t.candidate_errors) == 1
-        assert np.array_equal(t.weights.w_in[:, 1:], t.w_out.T)
+        assert np.array_equal(t.weights.w_in[:, 1:], chosen_draw_and_readout(t, d)[1].T)
         # Recomputation happened: features come from the tied network.
         trace = encode(t, d)
         assert np.array_equal(trace, t.features_train)
@@ -163,7 +172,7 @@ class TestFit:
             fit(random_dataset(), train_spec(), "vae")
 
     def test_all_degenerate_candidates_raise_training_error(self, monkeypatch):
-        def zero_trace(weights, patterns, policy):
+        def zero_trace(weights, patterns):
             return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
 
         monkeypatch.setattr(ae_mod, "run_collect", zero_trace)
@@ -245,11 +254,11 @@ class TestLazyFit:
         calls = []
         real = ae_mod.run_collect
 
-        def counted(weights, patterns, policy):
+        def counted(weights, patterns):
             calls.append(len(calls))
             if len(calls) - 1 in degenerate_calls:
                 return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
-            return real(weights, patterns, policy)
+            return real(weights, patterns)
 
         monkeypatch.setattr(ae_mod, "run_collect", counted)
         return calls
@@ -288,7 +297,7 @@ class TestLazyFit:
         errors = []
         for c in range(spec.n_candidates):
             wts = ae_mod.init_weights(spec.cfg, SeededRng(spec.seed).child(f"cand{c}"))
-            trace = ae_mod.run_collect(wts, d.patterns, spec.reset_policy)
+            trace = ae_mod.run_collect(wts, d.patterns)
             errors.append(reconstruction_error(train_readout(trace, d.patterns), trace, d.patterns))
         tol = ae_mod.RTOL * np.linalg.norm(d.patterns, "fro") / d.n_patterns
         assert max(errors) <= tol
@@ -410,7 +419,6 @@ class TestEnvelope:
         assert back.reconstruction_error == t.reconstruction_error
         assert back.candidate_errors == t.candidate_errors
         assert back.spec == t.spec
-        assert np.array_equal(back.w_out, t.w_out)
         assert np.array_equal(back.w_out_refit, t.w_out_refit)
         assert np.array_equal(back.features_train, t.features_train)
         assert np.array_equal(back.weights.w_in, t.weights.w_in)
@@ -516,7 +524,6 @@ class TestEnvelopeErrors:
             pytest.param(lambda m: m.update(chosen_candidate="a"), id="chosen-string"),
             pytest.param(lambda m: m.update(chosen_candidate=3), id="chosen-past-errors"),
             pytest.param(lambda m: m.update(chosen_candidate=-1), id="chosen-negative"),
-            pytest.param(lambda m: m.update(pinv_tolerance="a"), id="pinv_tolerance-string"),
             pytest.param(lambda m: m.update(reconstruction_error="a"), id="recon-string"),
             pytest.param(lambda m: m.update(pre_tying_error=None), id="pre_tying-null"),
             pytest.param(lambda m: m.update(candidate_errors=[]), id="errors-empty"),
@@ -538,12 +545,41 @@ class TestEnvelopeErrors:
         with pytest.raises(FormatError):
             self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
 
+    def test_version_1_envelope_is_refused(self, tmp_path, envelope):
+        from esnrae import FormatError
+
+        with pytest.raises(FormatError, match="version 1.*esnrae encode"):
+            self.load(tmp_path, b"ESNRAE\x00\x01" + envelope[8:])
+
+    def test_deeply_nested_metadata_is_a_format_error(self, tmp_path, envelope):
+        from esnrae import FormatError
+
+        with pytest.raises(FormatError, match="unreadable encoder metadata"):
+            self.load(tmp_path, self.rebuild(envelope, b"[" * 100000))
+
+    def test_version_2_holds_weights_refit_readout_and_features_only(self, envelope):
+        import io
+        import json
+
+        from esnrae.reservoir import _read_block, load_weights
+
+        magic, meta_bytes, rest = self.split(envelope)
+        assert magic == b"ESNRAE\x00\x02"
+        meta = json.loads(meta_bytes)
+        assert "reset_policy" not in meta and "pinv_tolerance" not in meta
+        fh = io.BytesIO(rest)
+        weights = load_weights(fh)
+        w_out_refit, features = _read_block(fh), _read_block(fh)
+        assert fh.read() == b""
+        assert w_out_refit.shape == (weights.input_dim, weights.n_hidden)
+        assert features.shape == (weights.n_hidden, 40)
+
     def test_fewer_errors_than_candidates_loads(self, tmp_path, envelope):
         import json
 
         _, meta_bytes, _ = self.split(envelope)
         meta = json.loads(meta_bytes)
-        meta.update(candidate_errors=[1e-15], chosen_candidate=0, pinv_tolerance=1e-10)
+        meta.update(candidate_errors=[1e-15], chosen_candidate=0)
         back = self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
         assert back.candidate_errors == (1e-15,) and back.spec.n_candidates == 3
 

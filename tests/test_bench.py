@@ -1,7 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import esnrae.bench as bench_mod
 from esnrae import (
@@ -321,6 +324,14 @@ class TestEmission:
         assert rows[0]["er"] == "" and "bad" in rows[0]["error"]
         assert "Invalid cells" in md_path.read_text()
 
+    def test_comma_in_dataset_name_keeps_the_columns(self, tmp_path):
+        report = fixture_report({"elm-ae": 0.25}, dataset="a,b\nc")
+        out = tmp_path / "r.csv"
+        emit_csv(report, str(out), include_timings=False)
+        (row,) = parse_csv(str(out))
+        assert row["dataset"] == "a;b c"
+        assert (row["method"], row["snr_db"], row["run"], row["er"]) == ("elm-ae", "", "0", "0.25")
+
     def test_non_utf8_csv_is_a_format_error_naming_it(self, tmp_path):
         from esnrae import FormatError
 
@@ -370,6 +381,60 @@ class TestLoadSpec:
             emit_csv(run_experiment(spec), str(out), include_timings=False)
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
+
+    def test_retired_keys_at_their_fixed_values_are_ignored(self, tmp_path):
+        base = {"train_path": "a", "test_path": "b", "n_runs": 3}
+        specs = []
+        for name, extra in (
+            ("plain", {}),
+            ("retired", {"reset_policy": "carry", "pinv_tolerance": None}),
+        ):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**base, **extra}))
+            specs.append(bench_mod.load_spec(str(path)))
+        assert specs[0] == specs[1]
+        assert "reset_policy" not in specs[1].echo()
+
+    def test_reset_policy_reset_names_the_identical_elm_method(self, tmp_path):
+        from esnrae import FormatError
+
+        path = tmp_path / "spec.json"
+        path.write_text('{"train_path": "a", "test_path": "b", "reset_policy": "reset"}')
+        with pytest.raises(FormatError, match=r"spec\.json: reset_policy.*elm-ae"):
+            bench_mod.load_spec(str(path))
+
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            '"reset_policy": "bounce"',
+            '"reset_policy": null',
+            '"pinv_tolerance": 1e-10',
+            '"pinv_tolerance": 0',
+        ],
+    )
+    def test_retired_keys_at_other_values_are_format_errors(self, tmp_path, extra):
+        from esnrae import FormatError
+
+        path = tmp_path / "spec.json"
+        path.write_text('{"train_path": "a", "test_path": "b", ' + extra + "}")
+        with pytest.raises(FormatError, match=r"spec\.json: \w+ is retired"):
+            bench_mod.load_spec(str(path))
+
+    def test_noise_level_too_large_for_a_float_is_a_format_error(self, tmp_path):
+        from esnrae import FormatError
+
+        path = tmp_path / "spec.json"
+        path.write_text('{"train_path": "a", "test_path": "b", "noise_levels": [1' + "0" * 400 + "]}")
+        with pytest.raises(FormatError, match=r"spec\.json: int too large"):
+            bench_mod.load_spec(str(path))
+
+    def test_deeply_nested_json_is_a_format_error(self, tmp_path):
+        from esnrae import FormatError
+
+        path = tmp_path / "spec.json"
+        path.write_text("[" * 100000)
+        with pytest.raises(FormatError, match=r"spec\.json: invalid JSON"):
+            bench_mod.load_spec(str(path))
 
     def test_non_utf8_spec_is_a_format_error_naming_it(self, tmp_path):
         from esnrae import FormatError
@@ -450,3 +515,64 @@ class TestSharedClassIds:
         test.write_text("7," + ",".join(["0.5"] * 32) + "\n")
         with pytest.raises(FormatError, match=r"\[7\]"):
             run_experiment(small_spec(synth_files, test_path=str(test)))
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("benchprop")
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8),
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(st.text(max_size=8), inner, max_size=4),
+    max_leaves=12,
+)
+# Spec-shaped objects: the required keys plus any of the known ones, each with
+# an arbitrary JSON value, so examples reach the field checks.
+_SPEC_DOCS = st.fixed_dictionaries(
+    {"train_path": st.just("a"), "test_path": st.just("b")},
+    optional={
+        key: _JSON_VALUES
+        for key in (*ExperimentSpec.__dataclass_fields__, "workers", "reset_policy", "pinv_tolerance")
+        if key not in ("train_path", "test_path")
+    },
+)
+
+
+class TestReaderProperties:
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=300),
+            _JSON_VALUES.map(lambda v: json.dumps(v).encode()),
+            _SPEC_DOCS.map(lambda v: json.dumps(v).encode()),
+        )
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_load_spec_loads_or_raises_format_error(self, scratch, raw):
+        from esnrae import FormatError
+
+        path = scratch / "spec.json"
+        path.write_bytes(raw)
+        try:
+            assert isinstance(bench_mod.load_spec(str(path)), ExperimentSpec)
+        except FormatError:
+            pass
+
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=300),
+            st.lists(st.sampled_from(["# spec: {}", "dataset,er", "a,b,c", "x", "", ",,"]))
+            .map(lambda lines: "\n".join(lines).encode()),
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_parse_csv_loads_or_raises_format_error(self, scratch, raw):
+        from esnrae import FormatError
+
+        path = scratch / "report.csv"
+        path.write_bytes(raw)
+        try:
+            rows = parse_csv(str(path))
+        except FormatError:
+            return
+        assert all(isinstance(row, dict) for row in rows)

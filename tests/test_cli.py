@@ -88,6 +88,13 @@ class TestEncodeCommand:
         assert code == 2
         assert "mnist" in stderr
 
+    def test_help_lists_no_reset_policy(self, capsys):
+        with pytest.raises(SystemExit) as exit_info:
+            main(["encode", "--help"])
+        out = capsys.readouterr().out
+        assert exit_info.value.code == 0
+        assert "--candidates" in out and "--reset-policy" not in out
+
     def test_reports_how_many_candidates_were_evaluated(self, synth_files, tmp_path, capsys):
         # 40 training patterns, 60 units: the first candidate interpolates
         # and decides the choice, so the other two are never drawn.
@@ -242,6 +249,19 @@ class TestBenchCommand:
         code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert "spec.json" in stderr
+        assert not fitted
+
+    def test_reset_policy_reset_exits_2_naming_elm_ae(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, reset_policy="reset")
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "elm-ae" in stderr
         assert not fitted
 
     def test_no_timings_replay_byte_identical(self, synth_files, tmp_path, capsys):

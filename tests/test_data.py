@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from esnrae import (
     Dataset,
@@ -260,3 +262,67 @@ class TestParseUcrBoundaries:
         path.write_text("1,0.1,0.2\n3,0.3,0.4\n")
         with pytest.raises(FormatError, match=r"\[3\]"):
             parse_ucr(str(path), label_names=(1, 2))
+
+
+    def test_labels_beyond_float_precision_stay_distinct(self, tmp_path):
+        big = 2**53
+        path = tmp_path / "big.txt"
+        path.write_text(f"{big},0.1\n{big + 1},0.2\n1.0000000e+00,0.3\n")
+        d = parse_ucr(str(path))
+        assert d.label_names == (1, big, big + 1)
+        assert list(d.labels) == [1, 2, 0]
+
+
+@pytest.fixture(scope="module")
+def scratch(tmp_path_factory):
+    return tmp_path_factory.mktemp("ucrprop")
+
+
+# Fragments of UCR-like text, so examples reach past the first parse step.
+_UCR_TOKENS = st.sampled_from(
+    ["1", "-2", "7", "0.5", "-1.25e-3", "1.0", "1e400", "nan", "x", "", ",", "\t", " ", "\n"]
+)
+
+
+class TestParseUcrProperties:
+    @given(
+        raw=st.one_of(
+            st.binary(max_size=300),
+            st.lists(_UCR_TOKENS, max_size=40).map(lambda ts: "".join(ts).encode()),
+        )
+    )
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_any_bytes_load_or_raise_format_error(self, scratch, raw):
+        path = scratch / "case.txt"
+        path.write_bytes(raw)
+        try:
+            parse_ucr(str(path))
+        except FormatError:
+            pass
+
+    @given(
+        names=st.lists(st.integers(), min_size=1, max_size=4, unique=True),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_write_then_parse_is_the_identity(self, scratch, names, data):
+        p = data.draw(st.integers(1, 5))
+        k = data.draw(st.integers(1, 4))
+        values = data.draw(
+            st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=p * k, max_size=p * k)
+        )
+        labels = data.draw(st.lists(st.integers(0, len(names) - 1), min_size=p, max_size=p))
+        d = Dataset(
+            name="prop",
+            patterns=np.array(values).reshape(p, k),
+            labels=labels,
+            label_names=tuple(names),
+            split="train",
+        )
+        path = str(scratch / "prop_TRAIN.txt")
+        write_ucr(d, path)
+        back = parse_ucr(path, split="train", label_names=d.label_names)
+        assert back.name == d.name and back.split == d.split
+        assert back.label_names == d.label_names
+        assert np.array_equal(back.labels, d.labels)
+        assert back.patterns.tobytes() == d.patterns.tobytes()

@@ -36,7 +36,10 @@ def config(n=16, k=6, beta=0.25, layers=1):
 
 
 def stepped(weights, patterns, policy):
-    """Column j of every layer by chaining public ``step`` calls."""
+    """Column j of every layer by chaining public ``step`` calls.
+
+    Under ``"reset"`` each pattern starts from the zero state instead.
+    """
     n, m = weights.n_hidden, weights.n_layers
     zero = [np.zeros(n) for _ in range(m)]
     state = zero
@@ -52,10 +55,13 @@ class TestRunCollectEqualsStep:
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("policy", ["carry", "reset"])
     def test_columns_equal_chained_steps(self, recurrent, layers, policy):
+        # Stepping every pattern from the zero state gives exactly the states
+        # of the same draw without recurrence: the ELM variant's features.
         cfg = config(layers=layers)
         weights = init_weights(cfg, SeededRng(3), recurrent=recurrent)
+        collected = weights if policy == "carry" else init_weights(cfg, SeededRng(3), recurrent=False)
         patterns = SeededRng(4).generator().standard_normal((9, cfg.input_dim))
-        trace = run_collect(weights, patterns, policy)
+        trace = run_collect(collected, patterns)
         expected = stepped(weights, patterns, policy)
         assert len(trace.layers) == layers
         for got, want in zip(trace.layers, expected):
@@ -149,9 +155,10 @@ class TestGridSharesRadii:
         d_train, d_test = bench_mod._prepare_data(spec)
         for cell in report.cells:
             dtr, dte = bench_mod._noised(spec, d_train, d_test, cell.snr_db, cell.seed)
-            alone = bench_mod._run_cell(
+            encoded = bench_mod._encode_cell(
                 spec, report.dataset, cell.method, cell.snr_db, cell.run, dtr, dte
             )
+            (alone,) = bench_mod._classify(spec, [encoded])
             assert (alone.er, alone.recon_error) == (cell.er, cell.recon_error)
 
     def test_memo_open_during_the_grid_and_gone_after(self, synth_files, monkeypatch):

@@ -131,10 +131,6 @@ class TestPinv:
         with pytest.raises(ValueError):
             pinv(np.array([[1.0, np.nan], [0.0, 1.0]]))
 
-    def test_rejects_negative_tolerance(self):
-        with pytest.raises(ValueError):
-            pinv(np.eye(2), tolerance=-1e-3)
-
 
 class TestSpectralRadius:
     def test_diagonal(self):

@@ -138,17 +138,13 @@ class TestRunCollect:
         assert np.array_equal(trace.h[:, 0], expected)
 
     def test_carry_vs_reset_differ_in_second_column(self):
+        # The state carried from the first pattern, against a reset to zero.
         w = init_weights(config(), SeededRng(11))
         x = SeededRng(12).child("x").generator().uniform(-1, 1, (2, 8))
-        carry = run_collect(w, x, "carry")
-        reset = run_collect(w, x, "reset")
-        assert np.array_equal(carry.h[:, 0], reset.h[:, 0])
-        assert not np.array_equal(carry.h[:, 1], reset.h[:, 1])
-
-    def test_reset_equals_carry_when_recurrence_is_zero(self):
-        w = init_weights(config(layers=2), SeededRng(13), recurrent=False)
-        x = SeededRng(14).child("x").generator().uniform(-1, 1, (6, 8))
-        assert np.array_equal(run_collect(w, x, "carry").h, run_collect(w, x, "reset").h)
+        carry = run_collect(w, x)
+        reset = [step(w, [np.zeros(20)], u)[0] for u in x]
+        assert np.array_equal(carry.h[:, 0], reset[0])
+        assert not np.array_equal(carry.h[:, 1], reset[1])
 
     def test_trace_shape_matches_pattern_count(self):
         w = init_weights(config(n=150, k=96, beta=0.1), SeededRng(15))
@@ -194,11 +190,6 @@ class TestRunCollect:
         a = run_collect(init_weights(cfg, SeededRng(23)), x)
         b = run_collect(init_weights(cfg, SeededRng(23)), x)
         assert all(np.array_equal(p, q) for p, q in zip(a.layers, b.layers))
-
-    def test_invalid_policy(self):
-        w = init_weights(config(), SeededRng(24))
-        with pytest.raises(ValueError):
-            run_collect(w, np.zeros((2, 8)), "bounce")
 
 
 class TestWeightContainer:
