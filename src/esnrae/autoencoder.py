@@ -7,21 +7,20 @@ Four variants share one training scheme:
 * ``elm-ae``      single feed-forward random layer
 * ``ml-elm-ae``   stacked feed-forward random layers
 
-Training sets the targets equal to the inputs, solves the readout in closed
-form, picks a candidate network by its reconstruction error under a tie
-rule (see :func:`fit`), ties the input weights to the transpose of that
-readout, recomputes every layer's states under the new input map, and refits
-the readout so the stored reconstruction error describes the final encoder.
+Training draws one random network, sets the targets equal to the inputs,
+solves the readout in closed form, ties the input weights to the transpose
+of that readout, recomputes every layer's states under the new input map,
+and refits the readout so the stored reconstruction error describes the
+final encoder. A draw that training cannot use is skipped (see :func:`fit`).
 The extracted features are the last layer's recomputed states.
 """
 
 from __future__ import annotations
 
 import json
-import math
 import struct
 from dataclasses import dataclass, replace
-from typing import BinaryIO, Callable, TypeVar
+from typing import BinaryIO
 
 import numpy as np
 
@@ -41,8 +40,6 @@ from .reservoir import (
     save_weights,
 )
 
-T = TypeVar("T")
-
 KINDS = ("esn-rae", "ml-esn-rae", "elm-ae", "ml-elm-ae")
 
 
@@ -59,24 +56,19 @@ class RaeTrainSpec:
     """Everything needed to train one autoencoder reproducibly."""
 
     cfg: ReservoirConfig
-    n_candidates: int = 10
     seed: int = 0
-
-    def __post_init__(self):
-        if self.n_candidates < 1:
-            raise ValueError(f"n_candidates must be >= 1, got {self.n_candidates}")
 
 
 @dataclass(frozen=True)
 class TrainedAutoencoder:
     """A fitted encoder: tied weights, refit readout, and train features.
 
-    ``weights.w_in[:, 1:]`` holds the transpose of the winning candidate's
-    readout, entry-exact. ``w_out_refit`` is the readout refit on the
-    recomputed states; ``reconstruction_error`` pairs with it and describes
-    the final network, while ``pre_tying_error`` is the winning selection score.
-    ``candidate_errors`` holds the errors of the candidates scored, in index
-    order; selection can decide before all ``spec.n_candidates`` are drawn.
+    ``weights.w_in[:, 1:]`` holds the transpose of the chosen draw's readout,
+    entry-exact. ``w_out_refit`` is the readout refit on the recomputed
+    states; ``reconstruction_error`` pairs with it and describes the final
+    network, while ``pre_tying_error`` is the chosen draw's error before
+    tying. ``chosen_candidate`` is the index of the draw used, which is also
+    the number of unusable draws skipped before it.
     """
 
     kind: str
@@ -84,7 +76,6 @@ class TrainedAutoencoder:
     w_out_refit: np.ndarray
     reconstruction_error: float
     pre_tying_error: float
-    candidate_errors: tuple[float, ...]
     chosen_candidate: int
     features_train: np.ndarray
     spec: RaeTrainSpec
@@ -148,64 +139,20 @@ def _tie_input_weights(weights: EsnWeights, w_out: np.ndarray) -> EsnWeights:
     return replace(weights, w_in=w_in)
 
 
-# Candidates whose errors differ by less than RTOL times the error of the
-# all-zero readout (||U||_F / p) are tied. With fewer patterns than hidden
-# units every readout interpolates and the errors are round-off, about 1e-15
-# of that scale; the tolerance sits six orders of magnitude above it.
-RTOL = 1e-9
-
-
-def _select(
-    score: Callable[[int], tuple[float, T]], n_candidates: int, tol: float
-) -> tuple[int, T, list[float]]:
-    """Choose among candidates 0, 1, ... scored lazily in index order.
-
-    The rule: the chosen candidate is the lowest index whose error is within
-    ``tol`` of the minimum. ``score(c)`` returns candidate c's error and a
-    payload, or raises NumericalError for a degenerate candidate (error inf).
-    Scoring stops after candidate c once ``err_c <= tol`` and every earlier
-    error is above ``err_c + tol``: errors are >= 0, so c is then within
-    ``tol`` of any minimum and no earlier candidate can be, whatever the
-    unscored candidates would give. Only the payloads of candidates within
-    ``tol`` of the running minimum are kept; the minimum only falls, so a
-    dropped payload never becomes the choice again.
-
-    Returns the chosen index, its payload and the errors of the candidates
-    scored, in index order. Raises TrainingError when all are degenerate.
-    """
-    errors: list[float] = []
-    tied: dict[int, T] = {}
-    for c in range(n_candidates):
-        try:
-            err, payload = score(c)
-        except NumericalError:
-            errors.append(math.inf)
-            continue
-        errors.append(err)
-        floor = min(errors) + tol
-        tied = {i: kept for i, kept in tied.items() if errors[i] <= floor}
-        if err <= floor:
-            tied[c] = payload
-        if err <= tol and all(e > err + tol for e in errors[:-1]):
-            break
-    if not tied:
-        raise TrainingError(f"all {n_candidates} candidate networks were degenerate")
-    best = min(tied)
-    return best, tied[best], errors
+# Network draws fit tries before it gives up. A draw is unusable when one of
+# its recurrent layers stays nilpotent through every init_weights retry, as
+# about one seed in seven does at the oliveoil preset (N = 300, beta = 0.001).
+MAX_DRAWS = 10
 
 
 def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
     """Train one autoencoder of the given kind on a training set.
 
-    Draws candidate networks in index order and scores each by its readout
-    reconstruction error, until :func:`_select`'s rule has decided: the
-    lowest index within ``RTOL * ||U||_F / p`` of the minimum error wins. With
-    fewer patterns than hidden units the readout interpolates, so the first
-    non-degenerate candidate is chosen and no other is drawn; otherwise all
-    ``n_candidates`` are scored. Then ties the input weights to the winner's
-    readout transpose, recomputes all layer states in one pass, and refits the
-    readout on the recomputed states. ``candidate_errors`` holds the errors of
-    the candidates scored.
+    Draws networks from the streams ``cand0``, ``cand1``, ... and keeps the
+    first whose draw, states and readout raise no NumericalError; after
+    :data:`MAX_DRAWS` unusable draws it raises TrainingError. Then ties the
+    input weights to that readout's transpose, recomputes all layer states in
+    one pass, and refits the readout on the recomputed states.
     """
     _validate_kind(kind, spec.cfg)
     if spec.cfg.input_dim != d_train.input_len:
@@ -217,14 +164,18 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
     base = SeededRng(spec.seed)
     recurrent = is_recurrent(kind)
 
-    def score(c: int) -> tuple[float, tuple[EsnWeights, np.ndarray]]:
-        wts = init_weights(spec.cfg, base.child(f"cand{c}"), recurrent=recurrent)
-        trace = run_collect(wts, targets)
-        w_out = train_readout(trace, targets)
-        return reconstruction_error(w_out, trace, targets), (wts, w_out)
-
-    tol = RTOL * float(np.linalg.norm(targets, "fro")) / targets.shape[0]
-    best, (wts, w_out), errors = _select(score, spec.n_candidates, tol)
+    for chosen in range(MAX_DRAWS):
+        try:
+            wts = init_weights(spec.cfg, base.child(f"cand{chosen}"), recurrent=recurrent)
+            trace = run_collect(wts, targets)
+            w_out = train_readout(trace, targets)
+        except NumericalError:
+            continue
+        break
+    else:
+        raise TrainingError(f"all {MAX_DRAWS} network draws were degenerate")
+    pre_tying_error = reconstruction_error(w_out, trace, targets)
+    del trace  # so the recompute below holds one state matrix, not two
 
     tied = _tie_input_weights(wts, w_out)
     trace = run_collect(tied, targets)
@@ -236,9 +187,8 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
         weights=tied,
         w_out_refit=w_out_refit,
         reconstruction_error=final_err,
-        pre_tying_error=errors[best],
-        candidate_errors=tuple(errors),
-        chosen_candidate=best,
+        pre_tying_error=pre_tying_error,
+        chosen_candidate=chosen,
         features_train=trace.h.copy(),
         spec=spec,
     )
@@ -263,7 +213,7 @@ def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
 #   weight container (see reservoir module)
 #   w_out_refit, feature blocks, in the weight container's block format:
 #   u32 rows, u32 cols, float64 row-major
-# Version 1 also stored the winning candidate's readout, a copy of the tied
+# Version 1 also stored the chosen draw's readout, a copy of the tied
 # input columns, and the reset_policy and pinv_tolerance settings; it is
 # refused rather than read.
 # ---------------------------------------------------------------------------
@@ -277,10 +227,8 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
     meta = {
         "kind": t.kind,
         "seed": t.spec.seed,
-        "n_candidates": t.spec.n_candidates,
         "reconstruction_error": t.reconstruction_error,
         "pre_tying_error": t.pre_tying_error,
-        "candidate_errors": list(t.candidate_errors),
         "chosen_candidate": t.chosen_candidate,
         "config": {
             "n_hidden": t.spec.cfg.n_hidden,
@@ -325,31 +273,17 @@ def _is_number(value: object) -> bool:
 
 
 def _check_training_meta(meta: dict, path: str) -> None:
-    """Types of the training metadata, and the selection fields against each other."""
-    errors = meta.get("candidate_errors")
+    """Types of the training metadata; the chosen draw index is not negative."""
     for key, value, ok, expected in (
         ("seed", meta.get("seed"), _is_int, "an integer"),
-        ("n_candidates", meta.get("n_candidates"), _is_int, "an integer"),
-        ("chosen_candidate", meta.get("chosen_candidate"), _is_int, "an integer"),
+        ("chosen_candidate", meta.get("chosen_candidate"),
+         lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
         ("reconstruction_error", meta.get("reconstruction_error"), _is_number, "a number"),
         ("pre_tying_error", meta.get("pre_tying_error"), _is_number, "a number"),
         ("config.input_scaling", meta["config"].get("input_scaling"), _is_number, "a number"),
-        ("candidate_errors", errors,
-         lambda v: isinstance(v, list) and all(map(_is_number, v)), "a list of numbers"),
     ):
         if not ok(value):
             raise FormatError(f"{path}: metadata {key}={value!r} is not {expected}")
-    n_candidates, chosen = meta["n_candidates"], meta["chosen_candidate"]
-    if not 1 <= len(errors) <= n_candidates:
-        raise FormatError(
-            f"{path}: metadata holds {len(errors)} candidate errors for "
-            f"n_candidates={n_candidates}"
-        )
-    if not 0 <= chosen < len(errors):
-        raise FormatError(
-            f"{path}: metadata chosen_candidate={chosen!r} is not an index into "
-            f"{len(errors)} candidate errors"
-        )
 
 
 def load_autoencoder(path: str) -> TrainedAutoencoder:
@@ -357,9 +291,8 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
 
     A file that is not a complete, self-consistent envelope raises
     FormatError; that includes metadata whose reservoir config disagrees with
-    the stored weight dimensions, ill-typed training metadata, and a
-    ``chosen_candidate`` or ``candidate_errors`` that do not fit together or
-    with ``n_candidates``.
+    the stored weight dimensions and ill-typed training metadata. Metadata
+    keys the envelope no longer writes are ignored.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -391,18 +324,13 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
         raise FormatError(f"{path}: unknown autoencoder kind {meta.get('kind')!r}")
     _check_training_meta(meta, path)
     try:
-        spec = RaeTrainSpec(
-            cfg=ReservoirConfig(**config),
-            n_candidates=meta["n_candidates"],
-            seed=meta["seed"],
-        )
+        spec = RaeTrainSpec(cfg=ReservoirConfig(**config), seed=meta["seed"])
         return TrainedAutoencoder(
             kind=meta["kind"],
             weights=weights,
             w_out_refit=w_out_refit,
             reconstruction_error=meta["reconstruction_error"],
             pre_tying_error=meta["pre_tying_error"],
-            candidate_errors=tuple(meta["candidate_errors"]),
             chosen_candidate=meta["chosen_candidate"],
             features_train=features,
             spec=spec,

@@ -69,7 +69,7 @@ CSV_COLUMNS = (
 _TIMING_COLUMNS = ("fit_ms", "encode_ms", "classify_ms")
 
 
-_INT_FIELDS = ("n_hidden", "n_layers_ml", "n_candidates", "n_runs", "base_seed", "epochs")
+_INT_FIELDS = ("n_hidden", "n_layers_ml", "n_runs", "base_seed", "epochs")
 _NUMBER_FIELDS = ("connectivity", "spectral_radius", "input_scaling", "reg_lambda")
 _BOOL_FIELDS = ("raw_baseline", "normalize")
 
@@ -88,7 +88,6 @@ class ExperimentSpec:
     spectral_radius: float = 0.9
     n_layers_ml: int = 2
     input_scaling: float = 1.0
-    n_candidates: int = 10
     n_runs: int = 10
     base_seed: int = 0
     noise_levels: tuple[float | None, ...] = (None,)
@@ -100,10 +99,12 @@ class ExperimentSpec:
     def __post_init__(self):
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "noise_levels", tuple(self.noise_levels))
-        # A spec read from JSON can hold any type; a wrong one would otherwise
-        # surface as an uncaught TypeError deep inside a cell.
+        # A spec read from JSON can hold any type or size; a wrong one would
+        # otherwise surface as an uncaught TypeError deep inside a cell, and a
+        # huge integer as a failure in every cell or a practically endless loop.
         for names, ok, expected in (
-            (_INT_FIELDS, _is_int, "an integer"),
+            (_INT_FIELDS, lambda v: _is_int(v) and -(2**63) <= v < 2**63,
+             "an integer in the signed 64-bit range"),
             (_NUMBER_FIELDS, _is_number, "a number"),
             (_BOOL_FIELDS, lambda v: type(v) is bool, "true or false"),
         ):
@@ -126,9 +127,7 @@ class ExperimentSpec:
             if level is not None:
                 NoiseSpec(snr_db=level, seed=self.base_seed, targets=self.noise_targets)
         for method in self.methods:
-            cfg = self.reservoir_config(method, input_dim=1)
-            _validate_kind(method, cfg)
-            RaeTrainSpec(cfg=cfg, n_candidates=self.n_candidates, seed=self.base_seed)
+            _validate_kind(method, self.reservoir_config(method, input_dim=1))
 
     def all_methods(self) -> tuple[str, ...]:
         return self.methods + ((RAW_BASELINE,) if self.raw_baseline else ())
@@ -279,13 +278,9 @@ def _encode_cell(
         if method == RAW_BASELINE:
             design = standardize(d_train.patterns.T)
             return cell, (design, d_train.labels, d_test.patterns.T, d_test.labels)
-        train_spec = RaeTrainSpec(
-            cfg=spec.reservoir_config(method, d_train.input_len),
-            n_candidates=spec.n_candidates,
-            seed=seed,
-        )
+        cfg = spec.reservoir_config(method, d_train.input_len)
         t0 = time.perf_counter()
-        ae = fit(d_train, train_spec, method)
+        ae = fit(d_train, RaeTrainSpec(cfg=cfg, seed=seed), method)
         fit_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
         f_test = encode(ae, d_test)
@@ -534,7 +529,8 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
     """Build an ExperimentSpec from a flat JSON document plus flag overrides.
 
     Keys of retired settings are accepted and ignored: ``workers`` (cells
-    once ran on a thread pool) with any value, ``reset_policy`` only as
+    once ran on a thread pool) and ``n_candidates`` (fit once chose among
+    several network draws) with any value, ``reset_policy`` only as
     ``"carry"`` and ``pinv_tolerance`` only as null, the values every run
     uses. Any other value of those two is a FormatError.
     """
@@ -545,6 +541,7 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
     doc.pop("workers", None)
+    doc.pop("n_candidates", None)
     if doc.get("reset_policy") == "reset":
         raise FormatError(
             f'{path}: reset_policy "reset" is retired: zeroing the state before each '

@@ -93,7 +93,7 @@ def cmd_encode(args) -> int:
         d_train = normalize(d_train, stats)
         d_test = normalize(d_test, stats)
     cfg = _resolve_reservoir(args, d_train.input_len)
-    spec = RaeTrainSpec(cfg=cfg, n_candidates=args.candidates, seed=args.seed)
+    spec = RaeTrainSpec(cfg=cfg, seed=args.seed)
     _echo(
         {
             "command": "encode",
@@ -106,7 +106,6 @@ def cmd_encode(args) -> int:
             "spectral_radius": cfg.spectral_radius_target,
             "n_layers": cfg.n_layers,
             "input_scaling": cfg.input_scaling,
-            "candidates": spec.n_candidates,
             "seed": spec.seed,
             "out_dir": args.out_dir,
         }
@@ -122,8 +121,7 @@ def cmd_encode(args) -> int:
     write_ucr(_features_as_dataset(features_test, d_test), stem + "_test_features.csv")
     print(f"wrote {stem}.esnae and train/test feature files")
     print(f"reconstruction error: {ae.reconstruction_error:.6g} "
-          f"(pre-tying {ae.pre_tying_error:.6g}, candidate {ae.chosen_candidate} "
-          f"({len(ae.candidate_errors)} of {spec.n_candidates} evaluated))")
+          f"(pre-tying {ae.pre_tying_error:.6g}, network draw {ae.chosen_candidate})")
     return EXIT_OK
 
 
@@ -254,7 +252,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--test", required=True)
     p.add_argument("--kind", default="esn-rae", choices=KINDS)
     add_reservoir_flags(p)
-    p.add_argument("--candidates", type=int, default=10)
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--normalize", action=argparse.BooleanOptionalAction, default=True)
     p.add_argument("--out-dir", default=".")

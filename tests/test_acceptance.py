@@ -170,8 +170,8 @@ class TestCriterion1PropertySuite:
                 failures.append(f"SNR {level} dB measured {got:.3f}")
 
         # Tying invariant, entry-exact, for all four autoencoder kinds: the
-        # input columns hold the transpose of the chosen candidate's readout,
-        # recomputed here from that candidate's draw.
+        # input columns hold the transpose of the chosen draw's readout,
+        # recomputed here from that draw.
         d = Dataset(
             name="t",
             patterns=SeededRng(106).child("d").generator().standard_normal((30, 20)),
@@ -182,7 +182,7 @@ class TestCriterion1PropertySuite:
         for kind in ALL_KINDS:
             layers = 2 if kind.startswith("ml") else 1
             cfg = ReservoirConfig(n_hidden=15, input_dim=20, connectivity=0.2, n_layers=layers)
-            t = fit(d, RaeTrainSpec(cfg=cfg, n_candidates=2, seed=107), kind)
+            t = fit(d, RaeTrainSpec(cfg=cfg, seed=107), kind)
             draw = init_weights(
                 cfg,
                 SeededRng(107).child(f"cand{t.chosen_candidate}"),
@@ -223,7 +223,6 @@ class TestCriterion1PropertySuite:
             methods=("esn-rae", "elm-ae"),
             n_hidden=12,
             connectivity=0.3,
-            n_candidates=2,
             n_runs=2,
             noise_levels=(None, 10.0),
             epochs=15,
@@ -384,7 +383,7 @@ class TestCriterion7FeatureRangeAndSparsity:
                 input_dim=d_train.input_len,
                 connectivity=preset["connectivity"],
             )
-            t = fit(d_train, RaeTrainSpec(cfg=cfg, n_candidates=10, seed=0), "esn-rae")
+            t = fit(d_train, RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
             features = np.hstack([t.features_train, encode(t, d_test)])
             in_range = np.abs(features).max() < 1.0
             near_zero = float(np.mean(np.abs(features) < 0.05))
@@ -427,7 +426,7 @@ class TestPublishedShapes:
             input_dim=136,
             connectivity=preset["connectivity"],
         )
-        t = fit(normalize(train, train), RaeTrainSpec(cfg=cfg, n_candidates=2, seed=0), "esn-rae")
+        t = fit(normalize(train, train), RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
         features = encode(t, normalize(test, train))
         assert features.shape == (100, 861)
 

@@ -7,6 +7,7 @@ import esnrae.autoencoder as ae_mod
 from esnrae import (
     KINDS,
     Dataset,
+    DegenerateMatrixError,
     FormatError,
     NumericalError,
     RaeTrainSpec,
@@ -34,15 +35,15 @@ def random_dataset(p=40, k=24, seed=0, split="train", classes=2):
     )
 
 
-def train_spec(n=30, k=24, beta=0.2, layers=1, candidates=3, seed=0):
+def train_spec(n=30, k=24, beta=0.2, layers=1, seed=0):
     cfg = ReservoirConfig(
         n_hidden=n, input_dim=k, connectivity=beta, n_layers=layers
     )
-    return RaeTrainSpec(cfg=cfg, n_candidates=candidates, seed=seed)
+    return RaeTrainSpec(cfg=cfg, seed=seed)
 
 
 def chosen_draw_and_readout(t, d):
-    """The chosen candidate's weights and readout, recomputed from its draw."""
+    """The chosen draw's weights and readout, recomputed from its stream."""
     rng = SeededRng(t.spec.seed).child(f"cand{t.chosen_candidate}")
     wts = ae_mod.init_weights(t.spec.cfg, rng, recurrent=ae_mod.is_recurrent(t.kind))
     return wts, train_readout(ae_mod.run_collect(wts, d.patterns), d.patterns)
@@ -126,18 +127,10 @@ class TestFit:
             assert np.array_equal(t.weights.w_in[:, 1:], w_out.T)
             assert np.array_equal(t.weights.w_in[:, 0], wts.w_in[:, 0])
 
-    def test_selection_picks_minimum_error(self):
-        d = random_dataset(p=50, k=12, seed=6)
-        t = fit(d, train_spec(n=8, k=12, candidates=6, seed=7), "esn-rae")
-        assert t.chosen_candidate == int(np.argmin(t.candidate_errors))
-        assert t.pre_tying_error == min(t.candidate_errors)
-        assert all(t.pre_tying_error <= err for err in t.candidate_errors)
-
     def test_single_candidate_still_ties_and_recomputes(self):
         d = random_dataset(seed=8)
-        t = fit(d, train_spec(candidates=1, seed=9), "esn-rae")
+        t = fit(d, train_spec(seed=9), "esn-rae")
         assert t.chosen_candidate == 0
-        assert len(t.candidate_errors) == 1
         assert np.array_equal(t.weights.w_in[:, 1:], chosen_draw_and_readout(t, d)[1].T)
         # Recomputation happened: features come from the tied network.
         trace = encode(t, d)
@@ -155,7 +148,7 @@ class TestFit:
 
     def test_feature_shape_and_range(self):
         d = random_dataset(p=100, k=96, seed=12)
-        spec = train_spec(n=150, k=96, beta=0.1, candidates=2, seed=13)
+        spec = train_spec(n=150, k=96, beta=0.1, seed=13)
         t = fit(d, spec, "esn-rae")
         assert t.features_train.shape == (150, 100)
         assert np.abs(t.features_train).max() < 1.0
@@ -176,134 +169,107 @@ class TestFit:
             return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
 
         monkeypatch.setattr(ae_mod, "run_collect", zero_trace)
-        with pytest.raises(TrainingError):
-            fit(random_dataset(), train_spec(candidates=3), "esn-rae")
+        with pytest.raises(TrainingError, match=f"all {ae_mod.MAX_DRAWS} network draws"):
+            fit(random_dataset(), train_spec(), "esn-rae")
 
     def test_deterministic(self):
         d = random_dataset(seed=14)
-        a = fit(d, train_spec(seed=15), "ml-esn-rae" if False else "esn-rae")
+        a = fit(d, train_spec(seed=15), "esn-rae")
         b = fit(d, train_spec(seed=15), "esn-rae")
         assert np.array_equal(a.features_train, b.features_train)
-        assert a.candidate_errors == b.candidate_errors
+        assert (a.pre_tying_error, a.chosen_candidate) == (b.pre_tying_error, b.chosen_candidate)
 
 
-def full_choice(errors, tol):
-    """The selection rule over every candidate: lowest index within tol of the minimum."""
-    best = min(errors)
-    return min(i for i, e in enumerate(errors) if e <= best + tol)
+def counting_run_collect(monkeypatch, degenerate_calls=()):
+    """Count run_collect calls; the listed calls return all-zero states."""
+    calls = []
+    real = ae_mod.run_collect
+
+    def counted(weights, patterns):
+        calls.append(len(calls))
+        if len(calls) - 1 in degenerate_calls:
+            return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
+        return real(weights, patterns)
+
+    monkeypatch.setattr(ae_mod, "run_collect", counted)
+    return calls
 
 
 class TestSelectionRule:
-    TOL = 1e-9
+    """fit keeps the first draw whose training raises no NumericalError."""
 
-    def scripted(self, errors):
-        def score(c):
-            if np.isinf(errors[c]):
-                raise NumericalError("degenerate")
-            return errors[c], c
+    def test_lazy_choice_equals_full_evaluation(self, monkeypatch):
+        # Draws after the first usable one are never made, so only the number
+        # of unusable draws (all-zero states) before it matters.
+        d = random_dataset(p=6, k=3, seed=50)
+        spec = train_spec(n=4, k=3, beta=1.0, seed=51)
+        for first in range(ae_mod.MAX_DRAWS):
+            with monkeypatch.context() as m:
+                calls = counting_run_collect(m, degenerate_calls=range(first))
+                t = fit(d, spec, "esn-rae")
+            assert t.chosen_candidate == first
+            assert len(calls) == first + 2  # the draws made, then the tied recompute
 
-        return score
-
-    def random_errors(self, g):
-        n = int(g.integers(1, 11))
-        regime = g.integers(4)
-        errors = []
-        for _ in range(n):
-            if g.random() < 0.25:
-                errors.append(float("inf"))
-            elif regime == 0:  # round-off, as when the readout interpolates
-                errors.append(float(g.uniform(0.0, 6e-15)))
-            elif regime == 1:  # near-ties around one value
-                errors.append(0.3 + float(g.uniform(-1.5, 1.5)) * self.TOL)
-            elif regime == 2:  # near-ties at the tolerance itself
-                errors.append(float(g.uniform(0.0, 2.5)) * self.TOL)
-            else:  # well separated
-                errors.append(float(g.uniform(0.0, 1.0)))
-        return errors
-
-    def test_lazy_choice_equals_full_evaluation(self):
-        g = SeededRng(50).child("errors").generator()
-        for _ in range(2000):
-            errors = self.random_errors(g)
-            if all(np.isinf(errors)):
-                with pytest.raises(TrainingError):
-                    ae_mod._select(self.scripted(errors), len(errors), self.TOL)
-                continue
-            chosen, payload, seen = ae_mod._select(self.scripted(errors), len(errors), self.TOL)
-            assert chosen == payload == full_choice(errors, self.TOL)
-            assert seen == errors[: len(seen)]
-            assert chosen < len(seen)
-
-    def test_round_off_stops_after_first_non_degenerate(self):
-        errors = [float("inf"), float("inf"), 3e-15, 1e-15, 2e-15]
-        chosen, _, seen = ae_mod._select(self.scripted(errors), len(errors), self.TOL)
-        assert chosen == 2
-        assert seen == errors[:3]
-
-    def test_near_tie_goes_to_lowest_index_in_reach_of_the_minimum(self):
-        # 0 is within tol of 1 but not of 2, the minimum; 1 is within tol of 2.
-        t = self.TOL
-        errors = [0.5, 0.5 - 0.9 * t, 0.5 - 1.5 * t]
-        chosen, payload, seen = ae_mod._select(self.scripted(errors), 3, t)
-        assert chosen == payload == 1
-        assert seen == errors
+    def test_round_off_stops_after_first_non_degenerate(self, monkeypatch):
+        calls = counting_run_collect(monkeypatch, degenerate_calls=(0, 1))
+        d = random_dataset(p=20, k=12, seed=53)
+        t = fit(d, train_spec(n=40, k=12, seed=54), "esn-rae")
+        assert t.chosen_candidate == 2
+        assert len(calls) == 4
+        assert t.pre_tying_error < 1e-9
 
 
 class TestLazyFit:
-    def counting_run_collect(self, monkeypatch, degenerate_calls=()):
-        calls = []
-        real = ae_mod.run_collect
-
-        def counted(weights, patterns):
-            calls.append(len(calls))
-            if len(calls) - 1 in degenerate_calls:
-                return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
-            return real(weights, patterns)
-
-        monkeypatch.setattr(ae_mod, "run_collect", counted)
-        return calls
-
     @pytest.mark.parametrize("kind", ["esn-rae", "elm-ae"])
     def test_interpolating_fit_trains_one_candidate(self, monkeypatch, kind):
-        calls = self.counting_run_collect(monkeypatch)
+        calls = counting_run_collect(monkeypatch)
         d = random_dataset(p=20, k=12, seed=51)
-        t = fit(d, train_spec(n=40, k=12, candidates=6, seed=52), kind)
-        assert len(calls) == 2  # one candidate, then the tied recompute
+        t = fit(d, train_spec(n=40, k=12, seed=52), kind)
+        assert len(calls) == 2  # one draw, then the tied recompute
         assert t.chosen_candidate == 0
-        assert len(t.candidate_errors) == 1
-        assert t.spec.n_candidates == 6
-        assert t.pre_tying_error == t.candidate_errors[0]
+        assert t.pre_tying_error < 1e-9
 
-    def test_separated_errors_score_every_candidate(self, monkeypatch):
-        calls = self.counting_run_collect(monkeypatch)
+    def test_more_patterns_than_units_trains_one_draw_too(self, monkeypatch):
+        # p >= N: the readout no longer interpolates, and still only the first
+        # usable draw is trained.
+        calls = counting_run_collect(monkeypatch)
         d = random_dataset(p=50, k=12, seed=6)
-        t = fit(d, train_spec(n=8, k=12, candidates=6, seed=7), "esn-rae")
-        assert len(calls) == 7
-        assert len(t.candidate_errors) == 6
+        t = fit(d, train_spec(n=8, k=12, seed=7), "esn-rae")
+        assert len(calls) == 2
+        assert t.chosen_candidate == 0
+        assert t.pre_tying_error > 0.1
 
-    def test_degenerate_first_candidate_chooses_the_second(self, monkeypatch):
-        calls = self.counting_run_collect(monkeypatch, degenerate_calls=(0,))
-        d = random_dataset(p=20, k=12, seed=53)
-        t = fit(d, train_spec(n=40, k=12, candidates=6, seed=54), "esn-rae")
+    def test_degenerate_first_candidate_chooses_the_second(self):
+        # The oliveoil preset (N = 300, beta = 0.001) at seed 11: every
+        # init_weights retry of draw cand0 leaves the recurrent layer nilpotent.
+        d = random_dataset(p=30, k=10, seed=53)
+        cfg = ReservoirConfig(n_hidden=300, input_dim=10, connectivity=0.001)
+        with pytest.raises(DegenerateMatrixError):
+            ae_mod.init_weights(cfg, SeededRng(11).child("cand0"))
+        t = fit(d, RaeTrainSpec(cfg=cfg, seed=11), "esn-rae")
         assert t.chosen_candidate == 1
-        assert len(t.candidate_errors) == 2
-        assert np.isinf(t.candidate_errors[0])
-        assert len(calls) == 3
+        draw = ae_mod.init_weights(cfg, SeededRng(11).child("cand1"))
+        w_out = train_readout(ae_mod.run_collect(draw, d.patterns), d.patterns)
+        assert np.array_equal(t.weights.w_in[:, 0], draw.w_in[:, 0])
+        assert np.array_equal(t.weights.w_in[:, 1:], w_out.T)
+        assert all(map(np.array_equal, t.weights.w, draw.w))
+        assert all(map(np.array_equal, t.weights.b_e, draw.b_e))
 
     def test_choice_is_the_full_evaluation_choice(self):
-        # Score all candidates by hand and apply the rule to every error.
+        # Train every draw by hand at a size where most sparse draws stay
+        # nilpotent; seed 5 gives three unusable draws before a usable one.
         d = random_dataset(p=20, k=12, seed=55)
-        spec = train_spec(n=40, k=12, candidates=4, seed=56)
-        errors = []
-        for c in range(spec.n_candidates):
-            wts = ae_mod.init_weights(spec.cfg, SeededRng(spec.seed).child(f"cand{c}"))
-            trace = ae_mod.run_collect(wts, d.patterns)
-            errors.append(reconstruction_error(train_readout(trace, d.patterns), trace, d.patterns))
-        tol = ae_mod.RTOL * np.linalg.norm(d.patterns, "fro") / d.n_patterns
-        assert max(errors) <= tol
-        t = fit(d, spec, "esn-rae")
-        assert t.chosen_candidate == full_choice(errors, tol) == 0
-        assert t.candidate_errors == tuple(errors[:1])
+        spec = train_spec(n=30, k=12, beta=0.005, seed=5)
+        usable = []
+        for c in range(ae_mod.MAX_DRAWS):
+            try:
+                wts = ae_mod.init_weights(spec.cfg, SeededRng(spec.seed).child(f"cand{c}"))
+                train_readout(ae_mod.run_collect(wts, d.patterns), d.patterns)
+            except NumericalError:
+                continue
+            usable.append(c)
+        assert usable[0] == 3
+        assert fit(d, spec, "esn-rae").chosen_candidate == usable[0]
 
 
 class TestElmStructure:
@@ -395,7 +361,7 @@ class TestEncode:
         d = random_dataset(p=100, k=96, seed=31)
         fractions = {}
         for beta in (0.1, 1.0):
-            spec = train_spec(n=150, k=96, beta=beta, candidates=3, seed=32)
+            spec = train_spec(n=150, k=96, beta=beta, seed=32)
             t = fit(d, spec, "esn-rae")
             fractions[beta] = np.mean(np.abs(t.features_train) < 0.05)
         assert fractions[0.1] > fractions[1.0]
@@ -417,7 +383,7 @@ class TestEnvelope:
         assert back.kind == t.kind
         assert back.chosen_candidate == t.chosen_candidate
         assert back.reconstruction_error == t.reconstruction_error
-        assert back.candidate_errors == t.candidate_errors
+        assert back.pre_tying_error == t.pre_tying_error
         assert back.spec == t.spec
         assert np.array_equal(back.w_out_refit, t.w_out_refit)
         assert np.array_equal(back.features_train, t.features_train)
@@ -520,16 +486,10 @@ class TestEnvelopeErrors:
             pytest.param(lambda m: m.update(seed="s"), id="seed-string"),
             pytest.param(lambda m: m.update(seed=None), id="seed-null"),
             pytest.param(lambda m: m.update(seed=1.5), id="seed-float"),
-            pytest.param(lambda m: m.update(n_candidates=2.5), id="n_candidates-float"),
             pytest.param(lambda m: m.update(chosen_candidate="a"), id="chosen-string"),
-            pytest.param(lambda m: m.update(chosen_candidate=3), id="chosen-past-errors"),
             pytest.param(lambda m: m.update(chosen_candidate=-1), id="chosen-negative"),
             pytest.param(lambda m: m.update(reconstruction_error="a"), id="recon-string"),
             pytest.param(lambda m: m.update(pre_tying_error=None), id="pre_tying-null"),
-            pytest.param(lambda m: m.update(candidate_errors=[]), id="errors-empty"),
-            pytest.param(lambda m: m.update(candidate_errors=[0.1] * 4), id="errors-too-many"),
-            pytest.param(lambda m: m.update(candidate_errors=["a", 0.1, 0.2]), id="errors-string"),
-            pytest.param(lambda m: m.update(candidate_errors=0.1), id="errors-not-a-list"),
             pytest.param(lambda m: m["config"].update(input_scaling="a"), id="input_scaling-string"),
         ],
     )
@@ -540,7 +500,6 @@ class TestEnvelopeErrors:
 
         _, meta_bytes, _ = self.split(envelope)
         meta = json.loads(meta_bytes)
-        assert meta["n_candidates"] == 3 and len(meta["candidate_errors"]) == 3
         edit(meta)
         with pytest.raises(FormatError):
             self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
@@ -566,7 +525,8 @@ class TestEnvelopeErrors:
         magic, meta_bytes, rest = self.split(envelope)
         assert magic == b"ESNRAE\x00\x02"
         meta = json.loads(meta_bytes)
-        assert "reset_policy" not in meta and "pinv_tolerance" not in meta
+        retired = {"reset_policy", "pinv_tolerance", "n_candidates", "candidate_errors"}
+        assert not retired & set(meta)
         fh = io.BytesIO(rest)
         weights = load_weights(fh)
         w_out_refit, features = _read_block(fh), _read_block(fh)
@@ -577,11 +537,15 @@ class TestEnvelopeErrors:
     def test_fewer_errors_than_candidates_loads(self, tmp_path, envelope):
         import json
 
+        # Envelopes from before candidate selection was removed also hold
+        # n_candidates and the errors of the candidates scored, one of them
+        # when the readout interpolates. Those keys are ignored.
         _, meta_bytes, _ = self.split(envelope)
         meta = json.loads(meta_bytes)
-        meta.update(candidate_errors=[1e-15], chosen_candidate=0)
+        meta.update(n_candidates=10, candidate_errors=[1e-15])
         back = self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
-        assert back.candidate_errors == (1e-15,) and back.spec.n_candidates == 3
+        again = self.load(tmp_path, envelope)
+        assert back.spec == again.spec and back.chosen_candidate == again.chosen_candidate
 
     def test_untouched_envelope_still_loads(self, tmp_path, envelope):
         import json
@@ -634,12 +598,12 @@ class TestEnvelopeProperties:
         except FormatError:
             pass
 
-    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31), candidates=st.integers(1, 3))
+    @given(kind=st.sampled_from(KINDS), seed=st.integers(0, 2**31))
     @settings(max_examples=30, deadline=None, derandomize=True)
-    def test_save_load_save_is_byte_identical(self, work, kind, seed, candidates):
+    def test_save_load_save_is_byte_identical(self, work, kind, seed):
         d, _ = work
         layers = 2 if ae_mod.is_multilayer(kind) else 1
-        spec = train_spec(n=4, k=3, beta=1.0, layers=layers, candidates=candidates, seed=seed)
+        spec = train_spec(n=4, k=3, beta=1.0, layers=layers, seed=seed)
         first = saved_envelope(fit(random_dataset(p=6, k=3, seed=seed), spec, kind), d / "a.esnae")
         again = saved_envelope(load_autoencoder(str(d / "a.esnae")), d / "b.esnae")
         assert again == first

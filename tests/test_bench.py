@@ -1,5 +1,6 @@
 import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -29,7 +30,6 @@ def small_spec(synth_files, **kw):
         raw_baseline=True,
         n_hidden=20,
         connectivity=0.2,
-        n_candidates=2,
         n_runs=2,
         noise_levels=(None,),
         epochs=20,
@@ -191,7 +191,6 @@ class TestNoiseMonotonicity:
             raw_baseline=True,
             n_hidden=20,
             connectivity=0.2,
-            n_candidates=2,
             n_runs=3,
             noise_levels=(None, 0.5),
             epochs=20,
@@ -395,6 +394,43 @@ class TestLoadSpec:
         assert specs[0] == specs[1]
         assert "reset_policy" not in specs[1].echo()
 
+    @pytest.mark.parametrize("value", [5, 0, 2.5, "x", None])
+    def test_n_candidates_key_is_ignored_at_any_value(self, tmp_path, value):
+        base = {"train_path": "a", "test_path": "b", "n_runs": 3}
+        specs = []
+        for name, extra in (("plain", {}), ("selecting", {"n_candidates": value})):
+            path = tmp_path / f"{name}.json"
+            path.write_text(json.dumps({**base, **extra}))
+            specs.append(bench_mod.load_spec(str(path)))
+        assert specs[0] == specs[1]
+        assert "n_candidates" not in specs[1].echo()
+
+    @pytest.mark.parametrize("key", ["n_hidden", "n_layers_ml", "n_runs", "base_seed", "epochs"])
+    @pytest.mark.parametrize(
+        "value", [10**400, -(10**400), 2**63], ids=["10**400", "-10**400", "2**63"]
+    )
+    def test_integer_beyond_64_bits_is_a_format_error_naming_the_file(self, tmp_path, key, value):
+        from esnrae import FormatError
+
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"train_path": "a", "test_path": "b", key: value}))
+        with pytest.raises(FormatError, match=rf"spec\.json: {key} must be an integer in the signed"):
+            bench_mod.load_spec(str(path))
+
+    @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
+    def test_seed_at_the_64_bit_limits_loads(self, tmp_path, value):
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps({"train_path": "a", "test_path": "b", "base_seed": value}))
+        assert bench_mod.load_spec(str(path)).base_seed == value
+
+    @pytest.mark.parametrize(
+        "config", sorted(Path(__file__).parent.parent.glob("configs/*.json")), ids=lambda p: p.name
+    )
+    def test_shipped_config_loads_without_retired_keys(self, config):
+        assert isinstance(bench_mod.load_spec(str(config)), ExperimentSpec)
+        retired = {"workers", "reset_policy", "pinv_tolerance", "n_candidates"}
+        assert not retired & set(json.loads(config.read_text()))
+
     def test_reset_policy_reset_names_the_identical_elm_method(self, tmp_path):
         from esnrae import FormatError
 
@@ -476,7 +512,7 @@ class TestLoadSpec:
             '"methods": 5',
             '"noise_levels": 5',
             '"noise_levels": ["x"]',
-            '"n_candidates": 2.5',
+            '"n_runs": 2.5',
             '"n_hidden": 20.5',
             '"epochs": "50"',
             '"connectivity": "a"',
@@ -533,7 +569,13 @@ _SPEC_DOCS = st.fixed_dictionaries(
     {"train_path": st.just("a"), "test_path": st.just("b")},
     optional={
         key: _JSON_VALUES
-        for key in (*ExperimentSpec.__dataclass_fields__, "workers", "reset_policy", "pinv_tolerance")
+        for key in (
+            *ExperimentSpec.__dataclass_fields__,
+            "workers",
+            "n_candidates",
+            "reset_policy",
+            "pinv_tolerance",
+        )
         if key not in ("train_path", "test_path")
     },
 )

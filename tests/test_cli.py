@@ -24,7 +24,7 @@ class TestEncodeCommand:
             [
                 "encode", "--train", train, "--test", test,
                 "--n-hidden", "20", "--connectivity", "0.2",
-                "--candidates", "2", "--out-dir", out,
+                "--out-dir", out,
             ],
             capsys,
         )
@@ -55,7 +55,7 @@ class TestEncodeCommand:
             code, _, _ = run_cli(
                 ["encode", "--train", train, "--test", test,
                  "--n-hidden", "16", "--connectivity", "0.25",
-                 "--candidates", "2", "--out-dir", out],
+                 "--out-dir", out],
                 capsys,
             )
             assert code == 0
@@ -72,7 +72,7 @@ class TestEncodeCommand:
         out = str(tmp_path / "out")
         code, stdout, _ = run_cli(
             ["encode", "--train", train, "--test", test, "--preset", "ecgfivedays",
-             "--candidates", "1", "--out-dir", out],
+             "--out-dir", out],
             capsys,
         )
         assert code == 0
@@ -93,20 +93,18 @@ class TestEncodeCommand:
             main(["encode", "--help"])
         out = capsys.readouterr().out
         assert exit_info.value.code == 0
-        assert "--candidates" in out and "--reset-policy" not in out
+        assert "--reset-policy" not in out and "--candidates" not in out
 
-    def test_reports_how_many_candidates_were_evaluated(self, synth_files, tmp_path, capsys):
-        # 40 training patterns, 60 units: the first candidate interpolates
-        # and decides the choice, so the other two are never drawn.
+    def test_reports_the_chosen_draw(self, synth_files, tmp_path, capsys):
         train, test = synth_files
         code, stdout, _ = run_cli(
             ["encode", "--train", train, "--test", test, "--n-hidden", "60",
-             "--connectivity", "0.2", "--candidates", "3",
-             "--out-dir", str(tmp_path / "out")],
+             "--connectivity", "0.2", "--out-dir", str(tmp_path / "out")],
             capsys,
         )
         assert code == 0
-        assert "candidate 0 (1 of 3 evaluated)" in stdout
+        assert "network draw 0)" in stdout
+        assert "candidates" not in stdout
 
 
 class TestClassifyCommand:
@@ -122,7 +120,7 @@ class TestClassifyCommand:
         out = str(tmp_path / "out")
         run_cli(
             ["encode", "--train", train, "--test", test, "--n-hidden", "20",
-             "--connectivity", "0.2", "--candidates", "2", "--out-dir", out],
+             "--connectivity", "0.2", "--out-dir", out],
             capsys,
         )
         code, stdout, _ = run_cli(
@@ -228,7 +226,6 @@ class TestBenchCommand:
             {"epochs": 0},
             {"reg_lambda": 0},
             {"reset_policy": "bounce"},
-            {"n_candidates": 0},
             {"connectivity": 2.0},
             {"n_hidden": 0},
             {"n_layers_ml": 1, "methods": ["esn-rae", "ml-esn-rae"]},
@@ -262,6 +259,20 @@ class TestBenchCommand:
         code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert "elm-ae" in stderr
+        assert not fitted
+
+    @pytest.mark.parametrize("key", ["n_hidden", "n_layers_ml", "n_runs", "base_seed", "epochs"])
+    def test_integer_beyond_64_bits_exits_2_before_any_cell(
+        self, synth_files, tmp_path, capsys, monkeypatch, key
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, **{key: 10**400})
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "spec.json" in stderr and "64-bit" in stderr
         assert not fitted
 
     def test_no_timings_replay_byte_identical(self, synth_files, tmp_path, capsys):

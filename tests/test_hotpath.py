@@ -107,7 +107,6 @@ def grid_spec(synth_files, **kw):
         raw_baseline=False,
         n_hidden=20,
         connectivity=0.2,
-        n_candidates=2,
         n_runs=2,
         noise_levels=(None, 10.0),
         epochs=5,
@@ -142,10 +141,10 @@ class TestGridSharesRadii:
         monkeypatch.setattr(res_mod, "sparse_random_matrix", drawing)
         report = run_experiment(grid_spec(synth_files))
         assert not report.invalid_cells
-        # Per run: esn-rae draws w1 for each candidate; ml-esn-rae draws the
-        # same w1 plus a w2. Every noise level repeats the clean level.
-        distinct = 2 * 2 * 2  # runs x candidates x {w1, w2}
-        assert len(draws) == 2 * 2 * 2 * 3  # levels x runs x candidates x layers drawn
+        # Per run: esn-rae draws w1; ml-esn-rae draws the same w1 plus a w2.
+        # Every noise level repeats the clean level.
+        distinct = 2 * 2  # runs x {w1, w2}
+        assert len(draws) == 2 * 2 * 3  # levels x runs x layers drawn
         assert len(set(seen)) == distinct
         assert len(seen) == distinct
 
