@@ -44,6 +44,7 @@ from .data import (
     measured_snr,
     normalize,
     parse_ucr,
+    parse_ucr_pair,
     write_ucr,
 )
 from .errors import DegenerateMatrixError, FormatError, NumericalError, TrainingError
@@ -58,7 +59,6 @@ from .reservoir import (
     PRESETS,
     EsnWeights,
     ReservoirConfig,
-    StateTrace,
     init_weights,
     load_weights,
     run_collect,

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from typing import BinaryIO
 
 import numpy as np
@@ -30,7 +30,6 @@ from .linalg import SeededRng, pinv
 from .reservoir import (
     EsnWeights,
     ReservoirConfig,
-    StateTrace,
     _read_block,
     _read_exact,
     _write_block,
@@ -81,7 +80,7 @@ class TrainedAutoencoder:
     spec: RaeTrainSpec
 
 
-def train_readout(h: StateTrace | np.ndarray, targets: np.ndarray) -> np.ndarray:
+def train_readout(h: np.ndarray, targets: np.ndarray) -> np.ndarray:
     """Closed-form least-squares readout: returns W_out with y(n) = W_out x(n).
 
     ``h`` holds one state column per pattern (N x p); ``targets`` one pattern
@@ -89,7 +88,7 @@ def train_readout(h: StateTrace | np.ndarray, targets: np.ndarray) -> np.ndarray
     as W_out = (pinv(H^T) U)^T, which is the least-norm exact interpolation
     when there are fewer patterns than hidden units.
     """
-    hm = h.h if isinstance(h, StateTrace) else np.asarray(h, dtype=float)
+    hm = np.asarray(h, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if hm.ndim != 2:
         raise ValueError(f"state matrix must be 2-D, got ndim={hm.ndim}")
@@ -102,11 +101,9 @@ def train_readout(h: StateTrace | np.ndarray, targets: np.ndarray) -> np.ndarray
     return (pinv(hm.T) @ targets).T
 
 
-def reconstruction_error(
-    w_out: np.ndarray, h: StateTrace | np.ndarray, targets: np.ndarray
-) -> float:
+def reconstruction_error(w_out: np.ndarray, h: np.ndarray, targets: np.ndarray) -> float:
     """Frobenius norm of the reconstruction residual, per pattern."""
-    hm = h.h if isinstance(h, StateTrace) else np.asarray(h, dtype=float)
+    hm = np.asarray(h, dtype=float)
     targets = np.asarray(targets, dtype=float)
     p = hm.shape[1]
     if targets.shape[0] != p or w_out.shape != (targets.shape[1], hm.shape[0]):
@@ -167,20 +164,20 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
     for chosen in range(MAX_DRAWS):
         try:
             wts = init_weights(spec.cfg, base.child(f"cand{chosen}"), recurrent=recurrent)
-            trace = run_collect(wts, targets)
-            w_out = train_readout(trace, targets)
+            h = run_collect(wts, targets)
+            w_out = train_readout(h, targets)
         except NumericalError:
             continue
         break
     else:
         raise TrainingError(f"all {MAX_DRAWS} network draws were degenerate")
-    pre_tying_error = reconstruction_error(w_out, trace, targets)
-    del trace  # so the recompute below holds one state matrix, not two
+    pre_tying_error = reconstruction_error(w_out, h, targets)
+    del h  # so the recompute below holds one state matrix, not two
 
     tied = _tie_input_weights(wts, w_out)
-    trace = run_collect(tied, targets)
-    w_out_refit = train_readout(trace, targets)
-    final_err = reconstruction_error(w_out_refit, trace, targets)
+    h = run_collect(tied, targets)
+    w_out_refit = train_readout(h, targets)
+    final_err = reconstruction_error(w_out_refit, h, targets)
 
     return TrainedAutoencoder(
         kind=kind,
@@ -189,18 +186,14 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
         reconstruction_error=final_err,
         pre_tying_error=pre_tying_error,
         chosen_candidate=chosen,
-        features_train=trace.h.copy(),
+        features_train=h,
         spec=spec,
     )
 
 
 def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
     """New representation of a dataset: last-layer states, one column per pattern."""
-    if d.input_len != t.weights.input_dim:
-        raise ValueError(
-            f"dataset length {d.input_len} != encoder input dim {t.weights.input_dim}"
-        )
-    return run_collect(t.weights, d.patterns).h
+    return run_collect(t.weights, d.patterns)
 
 
 # ---------------------------------------------------------------------------
@@ -230,14 +223,7 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
         "reconstruction_error": t.reconstruction_error,
         "pre_tying_error": t.pre_tying_error,
         "chosen_candidate": t.chosen_candidate,
-        "config": {
-            "n_hidden": t.spec.cfg.n_hidden,
-            "input_dim": t.spec.cfg.input_dim,
-            "connectivity": t.spec.cfg.connectivity,
-            "spectral_radius_target": t.spec.cfg.spectral_radius_target,
-            "n_layers": t.spec.cfg.n_layers,
-            "input_scaling": t.spec.cfg.input_scaling,
-        },
+        "config": asdict(t.spec.cfg),
     }
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
@@ -291,8 +277,9 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
 
     A file that is not a complete, self-consistent envelope raises
     FormatError; that includes metadata whose reservoir config disagrees with
-    the stored weight dimensions and ill-typed training metadata. Metadata
-    keys the envelope no longer writes are ignored.
+    the stored weight dimensions, a kind whose layer count disagrees with the
+    weights, and ill-typed training metadata. Metadata keys the envelope no
+    longer writes are ignored.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -320,11 +307,10 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
                 f"{path}: metadata config {key}={value!r} disagrees with the "
                 f"stored weights ({actual})"
             )
-    if meta.get("kind") not in KINDS:
-        raise FormatError(f"{path}: unknown autoencoder kind {meta.get('kind')!r}")
     _check_training_meta(meta, path)
     try:
         spec = RaeTrainSpec(cfg=ReservoirConfig(**config), seed=meta["seed"])
+        _validate_kind(meta["kind"], spec.cfg)
         return TrainedAutoencoder(
             kind=meta["kind"],
             weights=weights,

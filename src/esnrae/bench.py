@@ -47,7 +47,7 @@ from .classifier import (
     standardize,
     train_classifiers,
 )
-from .data import Dataset, NoiseSpec, _read_lines, inject_noise, normalize, parse_ucr
+from .data import Dataset, NoiseSpec, _read_lines, inject_noise, parse_ucr_pair
 from .errors import FormatError, NumericalError
 from .reservoir import ReservoirConfig, radius_memo
 
@@ -216,25 +216,6 @@ class ExperimentReport:
         return tuple(c for c in self.cells if not c.valid)
 
 
-def _prepare_data(spec: ExperimentSpec) -> tuple[Dataset, Dataset]:
-    d_train = parse_ucr(spec.train_path, name=spec.dataset_name, split="train")
-    d_test = parse_ucr(
-        spec.test_path,
-        name=spec.dataset_name,
-        split="test",
-        label_names=d_train.label_names,
-    )
-    if d_train.input_len != d_test.input_len:
-        raise FormatError(
-            f"train length {d_train.input_len} != test length {d_test.input_len}"
-        )
-    if spec.normalize:
-        stats = d_train
-        d_train = normalize(d_train, stats)
-        d_test = normalize(d_test, stats)
-    return d_train, d_test
-
-
 def _noised(
     spec: ExperimentSpec,
     d_train: Dataset,
@@ -338,7 +319,9 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     pass, and its features are dropped before the next run starts.
     """
     t_start = time.perf_counter()
-    d_train, d_test = _prepare_data(spec)
+    d_train, d_test = parse_ucr_pair(
+        spec.train_path, spec.test_path, name=spec.dataset_name, normalized=spec.normalize
+    )
     dataset = d_train.name
     grid = [(method, level) for method in spec.all_methods() for level in spec.noise_levels]
     # A multi-layer fit needs the most memory, so those cells are encoded

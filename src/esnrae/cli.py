@@ -17,7 +17,7 @@ import sys
 import numpy as np
 
 from . import bench as bench_mod
-from .autoencoder import KINDS, RaeTrainSpec, encode, fit, save_autoencoder
+from .autoencoder import KINDS, RaeTrainSpec, encode, fit, is_multilayer, save_autoencoder
 from .classifier import ClassifierParams, evaluate, train_classifier
 from .data import (
     Dataset,
@@ -25,8 +25,8 @@ from .data import (
     inject_noise,
     make_synthetic,
     measured_snr,
-    normalize,
     parse_ucr,
+    parse_ucr_pair,
     write_ucr,
 )
 from .errors import FormatError, NumericalError
@@ -70,9 +70,9 @@ def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
             "reservoir size and connectivity required: pass --preset or both "
             "--n-hidden and --connectivity"
         )
-    n_layers = args.layers if getattr(args, "layers", None) else (
-        2 if args.kind in ("ml-esn-rae", "ml-elm-ae") else 1
-    )
+    n_layers = args.layers
+    if n_layers is None:
+        n_layers = 2 if is_multilayer(args.kind) else 1
     return ReservoirConfig(
         n_hidden=n_hidden,
         input_dim=input_dim,
@@ -84,14 +84,9 @@ def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
 
 
 def cmd_encode(args) -> int:
-    d_train = parse_ucr(_require_file(args.train), split="train")
-    d_test = parse_ucr(
-        _require_file(args.test), split="test", label_names=d_train.label_names
+    d_train, d_test = parse_ucr_pair(
+        _require_file(args.train), _require_file(args.test), normalized=args.normalize
     )
-    if args.normalize:
-        stats = d_train
-        d_train = normalize(d_train, stats)
-        d_test = normalize(d_test, stats)
     cfg = _resolve_reservoir(args, d_train.input_len)
     spec = RaeTrainSpec(cfg=cfg, seed=args.seed)
     _echo(
@@ -136,10 +131,7 @@ def cmd_classify(args) -> int:
             "seed": args.seed,
         }
     )
-    d_train = parse_ucr(_require_file(args.train), split="train")
-    d_test = parse_ucr(
-        _require_file(args.test), split="test", label_names=d_train.label_names
-    )
+    d_train, d_test = parse_ucr_pair(_require_file(args.train), _require_file(args.test))
     params = ClassifierParams(reg_lambda=args.reg_lambda, epochs=args.epochs, seed=args.seed)
     clf = train_classifier(d_train.patterns.T, d_train.labels, params)
     result = evaluate(clf, d_test.patterns.T, d_test.labels)

@@ -180,6 +180,32 @@ def parse_ucr(
     )
 
 
+def parse_ucr_pair(
+    train_path: str,
+    test_path: str,
+    name: str = "",
+    normalized: bool = False,
+) -> tuple[Dataset, Dataset]:
+    """Parse a training split and its test split, sharing class ids.
+
+    The test split is parsed against the training split's labels. Splits of
+    different pattern lengths are a FormatError naming both lengths. With
+    ``normalized`` both splits are z-scored by the training statistics.
+    """
+    d_train = parse_ucr(train_path, name=name, split="train")
+    d_test = parse_ucr(
+        test_path, name=name, split="test", label_names=d_train.label_names
+    )
+    if d_train.input_len != d_test.input_len:
+        raise FormatError(
+            f"train length {d_train.input_len} ({train_path}) != test length "
+            f"{d_test.input_len} ({test_path})"
+        )
+    if normalized:
+        return normalize(d_train, d_train), normalize(d_test, d_train)
+    return d_train, d_test
+
+
 def _stem(path: str) -> str:
     base = str(path).replace("\\", "/").rsplit("/", 1)[-1]
     stem = base.rsplit(".", 1)[0] if "." in base else base
@@ -189,13 +215,13 @@ def _stem(path: str) -> str:
     return stem
 
 
-def write_ucr(d: Dataset, path: str, sep: str = ",") -> None:
+def write_ucr(d: Dataset, path: str) -> None:
     """Write a Dataset back out in the UCR text format (original labels)."""
     with open(path, "w", encoding="utf-8") as fh:
         for i in range(d.n_patterns):
             fields = [str(d.label_names[d.labels[i]])]
             fields.extend(repr(float(v)) for v in d.patterns[i])
-            fh.write(sep.join(fields) + "\n")
+            fh.write(",".join(fields) + "\n")
 
 
 def normalize(d: Dataset, stats_from: Dataset) -> Dataset:
@@ -262,7 +288,6 @@ def make_synthetic(
     n_test: int = 40,
     length: int = 64,
     seed: int = 0,
-    name: str = "synth",
     offset: float = 0.0,
 ) -> tuple[Dataset, Dataset]:
     """Two-class toy problem for tests: clean sines vs. heavily noised sines.
@@ -291,7 +316,7 @@ def make_synthetic(
             patterns[i] = wave
             labels[i] = label
         return Dataset(
-            name=name,
+            name="synth",
             patterns=patterns,
             labels=labels,
             label_names=(0, 1),

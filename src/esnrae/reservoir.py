@@ -121,31 +121,6 @@ class EsnWeights:
         return len(self.w)
 
 
-@dataclass(frozen=True)
-class StateTrace:
-    """Hidden states collected over a dataset, one column per pattern.
-
-    ``layers[i]`` is the N x p state matrix of layer i; per-layer traces are
-    retained so multi-layer networks can be recomputed after tying. ``h`` is
-    the final layer, i.e. the feature matrix.
-    """
-
-    layers: tuple[np.ndarray, ...]
-
-    def __post_init__(self):
-        object.__setattr__(self, "layers", tuple(self.layers))
-        if not self.layers:
-            raise ValueError("a state trace needs at least one layer")
-
-    @property
-    def h(self) -> np.ndarray:
-        return self.layers[-1]
-
-    @property
-    def n_patterns(self) -> int:
-        return self.layers[-1].shape[1]
-
-
 # Spectral radii of recurrent draws, shared while a radius_memo() scope is
 # open. A draw is fixed by (seed, stream, N, connectivity), so its radius is
 # too; only floats are kept, never the matrices.
@@ -279,15 +254,17 @@ def step(
     return _advance(weights, _recurrent_layers(weights), prev, u)
 
 
-def run_collect(weights: EsnWeights, patterns: np.ndarray) -> StateTrace:
-    """Feed every pattern (one row each) and stack the resulting states.
+def run_collect(weights: EsnWeights, patterns: np.ndarray) -> np.ndarray:
+    """Feed every pattern (one row each) and return the last layer's states.
 
-    The state starts at zero and flows from one pattern to the next, so
-    column n depends on all patterns up to n. (Zeroing it before each pattern
-    instead would drop the recurrent term and give exactly the features of the
-    same draw without recurrence, the ELM variant.) Shapes are checked once
-    here; each pattern then goes through the same kernel as :func:`step`, so
-    the columns equal a chain of ``step`` calls bit for bit.
+    The result is the N x p feature matrix, one column per pattern, in C
+    order. The state starts at zero and flows from one pattern to the next,
+    so column n depends on all patterns up to n. (Zeroing it before each
+    pattern instead would drop the recurrent term and give exactly the
+    features of the same draw without recurrence, the ELM variant.) Shapes
+    are checked once here; each pattern then goes through the same kernel as
+    :func:`step`, so the columns equal the last layer of a chain of ``step``
+    calls bit for bit.
     """
     patterns = np.asarray(patterns, dtype=float)
     if patterns.ndim != 2 or patterns.shape[1] != weights.input_dim:
@@ -298,13 +275,12 @@ def run_collect(weights: EsnWeights, patterns: np.ndarray) -> StateTrace:
     p = patterns.shape[0]
     n, m = weights.n_hidden, weights.n_layers
     recurrent = _recurrent_layers(weights)
-    traces = [np.empty((n, p)) for _ in range(m)]
+    h = np.empty((n, p))
     state = [np.zeros(n) for _ in range(m)]
     for j in range(p):
         state = _advance(weights, recurrent, state, patterns[j])
-        for i in range(m):
-            traces[i][:, j] = state[i]
-    return StateTrace(layers=tuple(traces))
+        h[:, j] = state[-1]
+    return h
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,6 @@ from esnrae import (
     RaeTrainSpec,
     ReservoirConfig,
     SeededRng,
-    StateTrace,
     TrainingError,
     encode,
     fit,
@@ -165,10 +164,10 @@ class TestFit:
             fit(random_dataset(), train_spec(), "vae")
 
     def test_all_degenerate_candidates_raise_training_error(self, monkeypatch):
-        def zero_trace(weights, patterns):
-            return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
+        def zero_states(weights, patterns):
+            return np.zeros((weights.n_hidden, patterns.shape[0]))
 
-        monkeypatch.setattr(ae_mod, "run_collect", zero_trace)
+        monkeypatch.setattr(ae_mod, "run_collect", zero_states)
         with pytest.raises(TrainingError, match=f"all {ae_mod.MAX_DRAWS} network draws"):
             fit(random_dataset(), train_spec(), "esn-rae")
 
@@ -188,7 +187,7 @@ def counting_run_collect(monkeypatch, degenerate_calls=()):
     def counted(weights, patterns):
         calls.append(len(calls))
         if len(calls) - 1 in degenerate_calls:
-            return StateTrace(layers=(np.zeros((weights.n_hidden, patterns.shape[0])),))
+            return np.zeros((weights.n_hidden, patterns.shape[0]))
         return real(weights, patterns)
 
     monkeypatch.setattr(ae_mod, "run_collect", counted)
@@ -503,6 +502,21 @@ class TestEnvelopeErrors:
         edit(meta)
         with pytest.raises(FormatError):
             self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
+
+    @pytest.mark.parametrize("kind", ["esn-rae", "elm-ae"])
+    def test_kind_contradicting_the_layer_count(self, tmp_path, kind):
+        import json
+
+        t = fit(random_dataset(seed=42), train_spec(layers=2, seed=43), "ml-esn-rae")
+        path = str(tmp_path / "ml.esnae")
+        save_autoencoder(t, path)
+        with open(path, "rb") as fh:
+            raw = fh.read()
+        _, meta_bytes, _ = self.split(raw)
+        meta = json.loads(meta_bytes)
+        meta["kind"] = kind
+        with pytest.raises(FormatError, match=f"{kind} needs n_layers == 1"):
+            self.load(tmp_path, self.rebuild(raw, json.dumps(meta).encode()))
 
     def test_version_1_envelope_is_refused(self, tmp_path, envelope):
         from esnrae import FormatError

@@ -531,7 +531,7 @@ class TestLoadSpec:
 
 class TestSharedClassIds:
     def test_test_split_ids_follow_training_labels(self, synth_files, tmp_path):
-        from esnrae import parse_ucr
+        from esnrae import parse_ucr, parse_ucr_pair
 
         train, _ = synth_files
         d = parse_ucr(train)
@@ -540,7 +540,7 @@ class TestSharedClassIds:
         with open(test, "w", encoding="utf-8") as fh:
             for row in ones:
                 fh.write(",".join(["1", *map(repr, map(float, row))]) + "\n")
-        d_train, d_test = bench_mod._prepare_data(small_spec(synth_files, test_path=test))
+        d_train, d_test = parse_ucr_pair(train, test, normalized=True)
         assert d_test.label_names == d_train.label_names
         assert set(d_test.labels.tolist()) == {1}
 

@@ -88,6 +88,19 @@ class TestEncodeCommand:
         assert code == 2
         assert "mnist" in stderr
 
+    def test_zero_layers_exits_2(self, synth_files, tmp_path, capsys):
+        train, test = synth_files
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["encode", "--train", train, "--test", test, "--kind", "ml-esn-rae",
+             "--layers", "0", "--n-hidden", "8", "--connectivity", "0.5",
+             "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert "n_layers must be >= 1, got 0" in stderr
+        assert not out.exists()
+
     def test_help_lists_no_reset_policy(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["encode", "--help"])
@@ -394,6 +407,19 @@ class TestSharedClassIds:
         code, out, _ = run_cli(["classify", "--train", train, "--test", test], capsys)
         assert code == 0
         assert "error rate: 0.0000 (0/2 misclassified)" in out
+
+    def test_mismatched_lengths_exit_2_before_training(self, tmp_path, capsys, monkeypatch):
+        import esnrae.cli as cli_mod
+
+        def no_training(*args, **kwargs):
+            raise AssertionError("classifier trained on mismatched splits")
+
+        monkeypatch.setattr(cli_mod, "train_classifier", no_training)
+        train = self.write(tmp_path / "train.txt", [(1, 0.0, 0.1), (2, 5.0, 5.1)])
+        test = self.write(tmp_path / "test.txt", [(1, 0.0, 0.1, 0.2)])
+        code, _, stderr = run_cli(["classify", "--train", train, "--test", test], capsys)
+        assert code == 2
+        assert "train length 2" in stderr and "test length 3" in stderr
 
     def test_unknown_test_label_exits_2(self, tmp_path, capsys):
         rows = [(1, 0.0, 0.1), (2, 5.0, 5.1)]

@@ -16,6 +16,7 @@ from esnrae import (
     ReservoirConfig,
     SeededRng,
     init_weights,
+    parse_ucr_pair,
     run_collect,
     run_experiment,
     scale_to_spectral_radius,
@@ -36,7 +37,7 @@ def config(n=16, k=6, beta=0.25, layers=1):
 
 
 def stepped(weights, patterns, policy):
-    """Column j of every layer by chaining public ``step`` calls.
+    """Column j of the last layer by chaining public ``step`` calls.
 
     Under ``"reset"`` each pattern starts from the zero state instead.
     """
@@ -46,8 +47,8 @@ def stepped(weights, patterns, policy):
     columns = []
     for u in patterns:
         state = step(weights, zero if policy == "reset" else state, u)
-        columns.append(state)
-    return [np.stack([c[i] for c in columns], axis=1) for i in range(m)]
+        columns.append(state[-1])
+    return np.stack(columns, axis=1)
 
 
 class TestRunCollectEqualsStep:
@@ -61,11 +62,7 @@ class TestRunCollectEqualsStep:
         weights = init_weights(cfg, SeededRng(3), recurrent=recurrent)
         collected = weights if policy == "carry" else init_weights(cfg, SeededRng(3), recurrent=False)
         patterns = SeededRng(4).generator().standard_normal((9, cfg.input_dim))
-        trace = run_collect(collected, patterns)
-        expected = stepped(weights, patterns, policy)
-        assert len(trace.layers) == layers
-        for got, want in zip(trace.layers, expected):
-            assert np.array_equal(got, want)
+        assert np.array_equal(run_collect(collected, patterns), stepped(weights, patterns, policy))
 
     def test_step_matches_the_dense_formula_with_zero_recurrence(self):
         weights = init_weights(config(layers=2), SeededRng(5), recurrent=False)
@@ -78,6 +75,23 @@ class TestRunCollectEqualsStep:
         h2 = np.tanh(weights.w_inter[0] @ h1 + weights.w[1] @ prev[1] + weights.b_e[1])
         assert np.array_equal(got[0], h1)
         assert np.array_equal(got[1], h2)
+
+
+class TestFeatureLayout:
+    """standardize takes the Pegasos dot order from the features' memory order."""
+
+    @pytest.mark.parametrize("recurrent", [True, False])
+    @pytest.mark.parametrize("layers", [1, 2])
+    def test_run_collect_returns_c_ordered_features(self, recurrent, layers):
+        cfg = config(layers=layers)
+        weights = init_weights(cfg, SeededRng(7), recurrent=recurrent)
+        patterns = SeededRng(8).generator().standard_normal((9, cfg.input_dim))
+        h = run_collect(weights, patterns)
+        assert h.shape == (cfg.n_hidden, 9)
+        assert h.dtype == np.float64
+        assert h.flags.c_contiguous
+        assert standardize(h).strided_rows
+        assert not standardize(patterns.T).strided_rows
 
 
 class TestRadiusMemo:
@@ -151,7 +165,9 @@ class TestGridSharesRadii:
     def test_report_equals_unshared_cells(self, synth_files):
         spec = grid_spec(synth_files)
         report = run_experiment(spec)
-        d_train, d_test = bench_mod._prepare_data(spec)
+        d_train, d_test = parse_ucr_pair(
+            spec.train_path, spec.test_path, name=spec.dataset_name, normalized=spec.normalize
+        )
         for cell in report.cells:
             dtr, dte = bench_mod._noised(spec, d_train, d_test, cell.snr_db, cell.seed)
             encoded = bench_mod._encode_cell(

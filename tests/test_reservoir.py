@@ -133,9 +133,9 @@ class TestRunCollect:
     def test_single_pattern_equals_one_step_from_zero(self):
         w = init_weights(config(), SeededRng(9))
         u = SeededRng(10).child("u").generator().uniform(-1, 1, 8)
-        trace = run_collect(w, u[None, :])
+        h = run_collect(w, u[None, :])
         expected = step(w, [np.zeros(20)], u)[0]
-        assert np.array_equal(trace.h[:, 0], expected)
+        assert np.array_equal(h[:, 0], expected)
 
     def test_carry_vs_reset_differ_in_second_column(self):
         # The state carried from the first pattern, against a reset to zero.
@@ -143,21 +143,18 @@ class TestRunCollect:
         x = SeededRng(12).child("x").generator().uniform(-1, 1, (2, 8))
         carry = run_collect(w, x)
         reset = [step(w, [np.zeros(20)], u)[0] for u in x]
-        assert np.array_equal(carry.h[:, 0], reset[0])
-        assert not np.array_equal(carry.h[:, 1], reset[1])
+        assert np.array_equal(carry[:, 0], reset[0])
+        assert not np.array_equal(carry[:, 1], reset[1])
 
     def test_trace_shape_matches_pattern_count(self):
         w = init_weights(config(n=150, k=96, beta=0.1), SeededRng(15))
         x = SeededRng(16).child("x").generator().standard_normal((100, 96))
-        trace = run_collect(w, x)
-        assert trace.h.shape == (150, 100)
-        assert trace.n_patterns == 100
+        assert run_collect(w, x).shape == (150, 100)
 
     def test_states_stay_bounded(self):
         w = init_weights(config(n=40, k=12), SeededRng(17))
         x = SeededRng(18).child("x").generator().uniform(-1, 1, (50, 12))
-        trace = run_collect(w, x)
-        assert np.abs(trace.h).max() < 1.0
+        assert np.abs(run_collect(w, x)).max() < 1.0
 
     def test_layer_count_reduction_identity_inter(self):
         # Two layers with identity coupling and dead layer 2 recurrence:
@@ -167,9 +164,10 @@ class TestRunCollect:
         w_in = g.uniform(-1, 1, (n, k + 1))
         w1 = 0.5 * g.uniform(-1, 1, (n, n))
         w = manual_weights(w_in, [w1, np.zeros((n, n))], [np.eye(n)])
-        x = g.uniform(-1, 1, (10, k))
-        trace = run_collect(w, x)
-        assert np.allclose(trace.layers[1], np.tanh(trace.layers[0]), atol=1e-15)
+        state = [np.zeros(n), np.zeros(n)]
+        for u in g.uniform(-1, 1, (10, k)):
+            state = step(w, state, u)
+            assert np.allclose(state[1], np.tanh(state[0]), atol=1e-15)
 
     def test_fading_memory_under_echo_state_property(self):
         # Two different random initial states converge after warm patterns.
@@ -189,7 +187,7 @@ class TestRunCollect:
         x = SeededRng(22).child("x").generator().uniform(-1, 1, (9, 8))
         a = run_collect(init_weights(cfg, SeededRng(23)), x)
         b = run_collect(init_weights(cfg, SeededRng(23)), x)
-        assert all(np.array_equal(p, q) for p, q in zip(a.layers, b.layers))
+        assert np.array_equal(a, b)
 
 
 class TestWeightContainer:
