@@ -175,6 +175,7 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
     del h  # so the recompute below holds one state matrix, not two
 
     tied = _tie_input_weights(wts, w_out)
+    del wts, w_out  # the tie replaced the drawn input map and copied the readout
     h = run_collect(tied, targets)
     w_out_refit = train_readout(h, targets)
     final_err = reconstruction_error(w_out_refit, h, targets)

@@ -267,7 +267,7 @@ def _encode_cell(
         f_test = encode(ae, d_test)
         design = standardize(ae.features_train)
         encode_ms = (time.perf_counter() - t0) * 1e3
-    except (ValueError, NumericalError, FormatError) as exc:
+    except (ValueError, NumericalError, FormatError, MemoryError) as exc:
         return _failed(cell, exc), None
     cell = replace(
         cell, recon_error=ae.reconstruction_error, fit_ms=fit_ms, encode_ms=encode_ms
@@ -293,7 +293,7 @@ def _classify(spec: ExperimentSpec, encoded: list[_Encoded]) -> list[CellResult]
     t0 = time.perf_counter()
     try:
         classifiers = train_classifiers(jobs)
-    except (ValueError, NumericalError, FormatError) as exc:
+    except (ValueError, NumericalError, FormatError, MemoryError) as exc:
         for i in ready:
             done[i] = _failed(done[i], exc)
         return done
@@ -303,7 +303,7 @@ def _classify(spec: ExperimentSpec, encoded: list[_Encoded]) -> list[CellResult]
         t0 = time.perf_counter()
         try:
             result = evaluate(clf, f_test, y_test)
-        except (ValueError, NumericalError, FormatError) as exc:
+        except (ValueError, NumericalError, FormatError, MemoryError) as exc:
             done[i] = _failed(done[i], exc)
             continue
         classify_ms = share_ms + (time.perf_counter() - t0) * 1e3

@@ -84,10 +84,11 @@ class Standardized:
 
     ``x`` is the (p, F+1) design, C-ordered: each feature standardized with
     the training ``mean`` and ``scale``, one row per pattern, a bias column of
-    ones appended. ``strided_rows`` says whether the design as ``np.hstack``
-    first builds it has strided rows, as it does for features given in C
-    order; margins are computed with that row stride, which fixes the
-    summation order of their dots.
+    ones appended. ``strided_rows`` says whether the design laid out like
+    the transposed features (as ``np.hstack([z.T, ones])`` would lay it out)
+    has strided rows, as it does for features given in C order; margins are
+    computed with that row stride, which fixes the summation order of their
+    dots.
     """
 
     x: np.ndarray
@@ -105,13 +106,15 @@ def standardize(features: np.ndarray) -> Standardized:
     std = features.std(axis=1)
     scale = np.where(std == 0.0, 1.0, std)
     z = (features - mean[:, None]) / scale[:, None]
-    x = np.hstack([z.T, np.ones((z.shape[1], 1))])  # (p, F+1), bias appended
-    return Standardized(
-        x=np.ascontiguousarray(x),
-        mean=mean,
-        scale=scale,
-        strided_rows=x.strides[1] != x.itemsize,
-    )
+    # z is a fresh ufunc result, contiguous in C or F order. Laid out like
+    # z.T, the design's rows are strided exactly when z is C-ordered with more
+    # than one row and column (with one, z has both flags). The design itself
+    # is built C-ordered, so no strided copy of it is ever made.
+    strided_rows = z.flags.c_contiguous and not z.flags.f_contiguous
+    x = np.empty((z.shape[1], z.shape[0] + 1))  # (p, F+1), bias appended
+    x[:, :-1] = z.T
+    x[:, -1] = 1.0
+    return Standardized(x=x, mean=mean, scale=scale, strided_rows=strided_rows)
 
 
 def _pegasos(x: np.ndarray, y: np.ndarray, params: ClassifierParams, rng: SeededRng) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Subcommands: encode, classify, bench, noise, synth. Every command echoes its
 fully resolved configuration before doing any work. Exit codes are a stable
-contract: 0 ok, 2 usage or data-format error, 3 numerical error, 4 partial
-benchmark failure (report still written, invalid cells marked).
+contract: 0 ok, 2 usage or data-format error (also running out of memory),
+3 numerical error, 4 partial benchmark failure (report still written,
+invalid cells marked).
 """
 
 from __future__ import annotations
@@ -304,6 +305,9 @@ def main(argv: list[str] | None = None) -> int:
         return EXIT_NUMERICAL
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_USAGE
+    except MemoryError as exc:
+        print(f"error: out of memory: {str(exc) or 'allocation failed'}", file=sys.stderr)
         return EXIT_USAGE
 
 

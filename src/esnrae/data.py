@@ -118,27 +118,31 @@ def parse_ucr(
     ``label_names`` when parsing a test split, so both splits share class ids;
     a label outside them is a FormatError. Non-finite values (``nan``,
     ``inf``) are a FormatError naming the first line that holds one.
+
+    Each line's values go straight into one preallocated (p, K) array, so
+    at its peak the parse holds the file's text plus that array.
     """
-    lines = [(i + 1, ln.strip()) for i, ln in enumerate(_read_lines(path)) if ln.strip()]
-    if not lines:
+    text = _read_lines(path)
+    linenos = [i + 1 for i, ln in enumerate(text) if ln.strip()]
+    if not linenos:
         raise FormatError(f"{path}: file is empty")
 
-    sep = _detect_separator(lines[0][1])
-    rows: list[list[float]] = []
+    sep = _detect_separator(text[linenos[0] - 1].strip())
+    patterns = None
     originals: list[int] = []
-    width = None
-    for lineno, text in lines:
-        fields = _split_line(text, sep)
+    for row, lineno in enumerate(linenos):
+        fields = _split_line(text[lineno - 1].strip(), sep)
         try:
-            values = [float(f) for f in fields]
+            values = np.fromiter(map(float, fields), dtype=float, count=len(fields))
         except ValueError:
             raise FormatError(f"{path}: line {lineno}: non-numeric field") from None
         if len(values) < 2:
             raise FormatError(
                 f"{path}: line {lineno}: expected a label plus at least one value"
             )
-        if width is None:
+        if patterns is None:
             width = len(values)
+            patterns = np.empty((len(linenos), width - 1))
         elif len(values) != width:
             raise FormatError(
                 f"{path}: line {lineno}: expected {width} fields, got {len(values)}"
@@ -146,19 +150,19 @@ def parse_ucr(
         try:  # exact, also beyond the integers a float holds
             label = int(fields[0])
         except ValueError:  # a float-looking label such as 1.0000000e+00
-            label = values[0]
+            label = float(values[0])
             if not math.isfinite(label) or abs(label - round(label)) > 1e-9:
                 raise FormatError(
                     f"{path}: line {lineno}: class label {label!r} is not an integer"
                 ) from None
             label = int(round(label))
         originals.append(label)
-        rows.append(values[1:])
+        patterns[row] = values[1:]
 
-    patterns = np.array(rows, dtype=float)
-    if not np.isfinite(patterns).all():
-        first_bad = int(np.argmin(np.isfinite(patterns).all(axis=1)))
-        raise FormatError(f"{path}: line {lines[first_bad][0]}: non-finite value")
+    finite = np.isfinite(patterns).all(axis=1)
+    if not finite.all():
+        first_bad = int(np.argmin(finite))
+        raise FormatError(f"{path}: line {linenos[first_bad]}: non-finite value")
 
     if label_names is None:
         label_names = tuple(sorted(set(originals)))

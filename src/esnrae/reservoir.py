@@ -64,6 +64,11 @@ class ReservoirConfig:
     def __post_init__(self):
         if self.n_hidden < 1:
             raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
+        if int(self.n_hidden) ** 2 * 8 > np.iinfo(np.intp).max:
+            raise FormatError(
+                f"n_hidden {self.n_hidden} is too large: an N x N float64 matrix "
+                f"would exceed the {np.iinfo(np.intp).max} bytes numpy can address"
+            )
         if self.input_dim < 1:
             raise ValueError(f"input_dim must be >= 1, got {self.input_dim}")
         if not 0.0 < self.connectivity <= 1.0:
@@ -185,8 +190,9 @@ def init_weights(
             candidate = sparse_random_matrix(n, n, cfg.connectivity, -1.0, 1.0, stream)
             rho = _draw_radius(candidate, stream, cfg.connectivity)
             if rho > 0.0:
-                # Same expression as linalg.scale_to_spectral_radius.
-                w.append(candidate * (cfg.spectral_radius_target / rho))
+                # In place, the same product as linalg.scale_to_spectral_radius.
+                candidate *= cfg.spectral_radius_target / rho
+                w.append(candidate)
                 break
         else:
             raise DegenerateMatrixError(

@@ -1,4 +1,5 @@
 import os
+import tracemalloc
 
 import pytest
 
@@ -48,6 +49,28 @@ def require_ucr(name: str) -> tuple[str, str]:
             f"into $UCR_DATA_DIR or ./data to run this check"
         )
     return found
+
+
+def traced_peak(fn, *args):
+    """Call ``fn(*args)`` under tracemalloc; return (result, peak, kept).
+
+    ``peak`` is the most memory the call held at once and ``kept`` what it
+    still holds on return (its result), both in bytes above what was traced
+    when it started. Tracing that was already on stays on, with the same
+    frame limit (its peak restarts from this call); otherwise it stops again.
+    """
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        result = fn(*args)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    return result, peak - base, current - base
 
 
 @pytest.fixture(scope="session")

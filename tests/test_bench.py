@@ -11,6 +11,7 @@ import esnrae.bench as bench_mod
 from esnrae import (
     ExperimentReport,
     ExperimentSpec,
+    FormatError,
     NumericalError,
     emit_csv,
     emit_markdown,
@@ -144,6 +145,40 @@ class TestRunExperiment:
             else:
                 assert after.valid
                 assert (after.er, after.recon_error) == (before.er, before.recon_error)
+
+    def test_out_of_memory_in_a_fit_marks_its_cells_invalid(self, synth_files, monkeypatch):
+        import esnrae.autoencoder as ae_mod
+
+        real_init = ae_mod.init_weights
+
+        def init_too_big(cfg, rng, recurrent=True):
+            if not recurrent:
+                raise MemoryError("Unable to allocate 2.00 EiB for an array")
+            return real_init(cfg, rng, recurrent=recurrent)
+
+        monkeypatch.setattr(ae_mod, "init_weights", init_too_big)
+        report = run_experiment(small_spec(synth_files))
+        for c in report.cells:
+            if c.method == "elm-ae":
+                assert c.error == "MemoryError: Unable to allocate 2.00 EiB for an array"
+                assert c.er is None
+            else:
+                assert c.valid
+
+    def test_out_of_memory_in_training_marks_the_runs_cells_invalid(self, synth_files, monkeypatch):
+        def train_too_big(jobs):
+            raise MemoryError("Unable to allocate 1.00 EiB for an array")
+
+        monkeypatch.setattr(bench_mod, "train_classifiers", train_too_big)
+        report = run_experiment(small_spec(synth_files, n_runs=1))
+        assert [c.error for c in report.cells] == [
+            "MemoryError: Unable to allocate 1.00 EiB for an array"
+        ] * 3
+
+    def test_n_hidden_numpy_cannot_address_is_a_format_error(self, synth_files):
+        with pytest.raises(FormatError, match="n_hidden"):
+            small_spec(synth_files, n_hidden=2**62)
+        small_spec(synth_files, n_hidden=2**62, methods=())  # no cell draws a reservoir
 
     def test_n_layers_ml_only_checked_when_a_multilayer_method_runs(self, synth_files):
         small_spec(synth_files, n_layers_ml=1)

@@ -225,6 +225,23 @@ class TestBenchCommand:
         assert "invalid" in stderr
         assert (tmp_path / "r3" / "synth_report.csv").exists()
 
+    def test_out_of_memory_in_a_cell_exits_4_naming_it(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        import esnrae.autoencoder as ae_mod
+
+        def init_too_big(cfg, rng, recurrent=True):
+            raise MemoryError("Unable to allocate 2.00 EiB for an array")
+
+        monkeypatch.setattr(ae_mod, "init_weights", init_too_big)
+        spec = self.write_spec(tmp_path, synth_files, n_runs=1, noise_levels=[None])
+        out = tmp_path / "oom"
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 4
+        assert "2 invalid cell(s)" in stderr
+        report = (out / "synth_report.csv").read_text()
+        assert report.count("MemoryError: Unable to allocate 2.00 EiB for an array") == 2
+
     @pytest.mark.parametrize("key", ["train_path", "test_path"])
     def test_missing_data_file_exits_2_naming_it(self, synth_files, tmp_path, capsys, key):
         missing = str(tmp_path / "nonexistent" / "x.txt")
@@ -259,6 +276,19 @@ class TestBenchCommand:
         code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
         assert code == 2
         assert "spec.json" in stderr
+        assert not fitted
+
+    def test_n_hidden_numpy_cannot_address_exits_2_before_any_cell(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, n_hidden=2**62)
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
+        assert code == 2
+        assert "spec.json" in stderr and f"n_hidden {2**62} is too large" in stderr
         assert not fitted
 
     def test_reset_policy_reset_exits_2_naming_elm_ae(
@@ -359,6 +389,35 @@ class TestExitCodes:
         )
         assert code == 3
         assert "numerical error" in stderr
+
+
+    def test_out_of_memory_in_encode_is_one_line_exiting_2(self, synth_files, capsys, monkeypatch):
+        import esnrae.autoencoder as ae_mod
+
+        def init_too_big(cfg, rng, recurrent=True):
+            raise MemoryError("Unable to allocate 2.00 EiB for an array")
+
+        monkeypatch.setattr(ae_mod, "init_weights", init_too_big)
+        train, test = synth_files
+        code, _, stderr = run_cli(
+            ["encode", "--train", train, "--test", test,
+             "--n-hidden", "8", "--connectivity", "0.5"],
+            capsys,
+        )
+        assert code == 2
+        assert stderr == "error: out of memory: Unable to allocate 2.00 EiB for an array\n"
+
+    def test_out_of_memory_in_classify_is_one_line_exiting_2(self, synth_files, capsys, monkeypatch):
+        import esnrae.cli as cli_mod
+
+        def train_too_big(*args):
+            raise MemoryError()
+
+        monkeypatch.setattr(cli_mod, "train_classifier", train_too_big)
+        train, test = synth_files
+        code, _, stderr = run_cli(["classify", "--train", train, "--test", test], capsys)
+        assert code == 2
+        assert stderr == "error: out of memory: allocation failed\n"
 
 
 class TestSynthCommand:

@@ -16,6 +16,7 @@ from esnrae import (
     parse_ucr,
     write_ucr,
 )
+from ucr_reference import parse_ucr_per_line
 
 
 def small_dataset(p=6, k=10, seed=0, split="train"):
@@ -326,3 +327,71 @@ class TestParseUcrProperties:
         assert back.label_names == d.label_names
         assert np.array_equal(back.labels, d.labels)
         assert back.patterns.tobytes() == d.patterns.tobytes()
+
+
+# Labels exact only as integers, float-looking labels, and non-labels.
+_LABEL_TEXT = st.one_of(
+    st.integers(-3, 3).map(str),
+    st.sampled_from([str(2**53), str(2**53 + 1), str(-(2**53) - 1), str(2**64), "+7"]),
+    st.sampled_from(["1.0", "2.0000000e+00", "-1.0", "9007199254740993.0", "1e1"]),
+    st.sampled_from(["1.5", "nan", "inf", "1e400", "x", ""]),
+)
+_FINITE_TEXT = st.floats(allow_nan=False, allow_infinity=False).map(repr)
+_VALUE_TEXT = st.one_of(
+    *[_FINITE_TEXT] * 8,
+    st.sampled_from(["0.5", "-1.25e-3", " 2", "1_0", "1e400", "nan", "-inf", "x", "", " "]),
+)
+_SEPARATORS = (",", ", ", "\t", " ", "  ", " \t", ",\t")
+
+
+@st.composite
+def _ucr_texts(draw) -> str:
+    """UCR-like text: mostly rows of one width and separator, with blank
+    lines, blank fields, padding, ragged rows and stray separators."""
+    width = draw(st.sampled_from([0, 1, 1, 2, 2, 3, 4]))
+    file_sep = draw(st.sampled_from(_SEPARATORS))
+    lines = []
+    for _ in range(draw(st.integers(1, 6))):
+        kind = draw(st.sampled_from(["row"] * 6 + ["blank", "ragged"]))
+        if kind == "blank":
+            lines.append(draw(st.sampled_from(["", " ", "\t", " \t  "])))
+            continue
+        n = width if kind == "row" else draw(st.integers(0, 5))
+        fields = [draw(_LABEL_TEXT)] + [draw(_VALUE_TEXT) for _ in range(n)]
+        sep = draw(st.sampled_from([file_sep] * 20 + list(_SEPARATORS)))
+        lead = draw(st.sampled_from(["", "", " ", "\t"]))
+        trail = draw(st.sampled_from(["", "", "", " ", "\t", ","]))
+        lines.append(lead + sep.join(fields) + trail)
+    return "\n".join(lines) + draw(st.sampled_from(["", "\n"]))
+
+
+def _parse_outcome(parse, path, label_names):
+    """What a parser makes of a file: the Dataset's fields, or its error message."""
+    try:
+        d = parse(path, label_names=label_names)
+    except FormatError as exc:
+        return str(exc)
+    return (d.name, d.split, d.label_names, d.labels.tobytes(),
+            d.patterns.shape, d.patterns.tobytes())
+
+
+class TestParseUcrMatchesPerLineParser:
+    @given(
+        text=_ucr_texts(),
+        label_names=st.one_of(st.none(), st.just((-1, 0, 1, 2, 2**53, 2**53 + 1))),
+    )
+    @settings(max_examples=400, deadline=None, derandomize=True)
+    def test_same_dataset_or_same_error(self, scratch, text, label_names):
+        path = scratch / "same_TRAIN.txt"
+        path.write_text(text, encoding="utf-8")
+        assert _parse_outcome(parse_ucr, str(path), label_names) == _parse_outcome(
+            parse_ucr_per_line, str(path), label_names
+        )
+
+    def test_same_dataset_on_an_earthquakes_sized_file(self, scratch):
+        d = small_dataset(p=322, k=512, seed=9)
+        path = str(scratch / "eq_TRAIN.txt")
+        write_ucr(d, path)
+        assert _parse_outcome(parse_ucr, path, None) == _parse_outcome(
+            parse_ucr_per_line, path, None
+        )

@@ -1,4 +1,5 @@
 import io
+import math
 import struct
 
 import numpy as np
@@ -332,6 +333,15 @@ class TestConfigValidation:
     def test_layer_count_positive(self):
         with pytest.raises(ValueError):
             config(layers=0)
+
+    def test_n_hidden_up_to_what_numpy_can_address(self):
+        # Only the configuration is built; no matrix of this size is drawn.
+        largest = math.isqrt(np.iinfo(np.intp).max // 8)
+        assert config(n=largest).n_hidden == largest
+        with pytest.raises(FormatError, match=f"n_hidden {largest + 1} is too large"):
+            config(n=largest + 1)
+        with pytest.raises(FormatError, match="n_hidden"):
+            config(n=2**62)
 
 
 class TestResolvePreset:
