@@ -72,6 +72,7 @@ _TIMING_COLUMNS = ("fit_ms", "encode_ms", "classify_ms")
 _INT_FIELDS = ("n_hidden", "n_layers_ml", "n_runs", "base_seed", "epochs")
 _NUMBER_FIELDS = ("connectivity", "spectral_radius", "input_scaling", "reg_lambda")
 _BOOL_FIELDS = ("raw_baseline", "normalize")
+_STR_FIELDS = ("train_path", "test_path", "dataset_name")
 
 
 @dataclass(frozen=True)
@@ -97,12 +98,17 @@ class ExperimentSpec:
     epochs: int = 50
 
     def __post_init__(self):
+        # A spec read from JSON can hold any type or size; a wrong one would
+        # otherwise surface as an uncaught TypeError deep inside a cell or in
+        # the report after the whole grid, and a huge integer as a failure in
+        # every cell or a practically endless loop.
+        for name in ("methods", "noise_levels"):
+            if not isinstance(getattr(self, name), (list, tuple)):
+                raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
         object.__setattr__(self, "methods", tuple(self.methods))
         object.__setattr__(self, "noise_levels", tuple(self.noise_levels))
-        # A spec read from JSON can hold any type or size; a wrong one would
-        # otherwise surface as an uncaught TypeError deep inside a cell, and a
-        # huge integer as a failure in every cell or a practically endless loop.
         for names, ok, expected in (
+            (_STR_FIELDS, lambda v: isinstance(v, str), "a string"),
             (_INT_FIELDS, lambda v: _is_int(v) and -(2**63) <= v < 2**63,
              "an integer in the signed 64-bit range"),
             (_NUMBER_FIELDS, _is_number, "a number"),
@@ -111,6 +117,11 @@ class ExperimentSpec:
             for name in names:
                 if not ok(getattr(self, name)):
                     raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
+        # The dataset name names the report files inside the output directory.
+        if any(c in self.dataset_name for c in "/\\\0"):
+            raise ValueError(
+                f"dataset_name must not hold '/', '\\' or NUL, got {self.dataset_name!r}"
+            )
         for m in self.methods:
             if m not in KINDS:
                 raise ValueError(f"unknown method {m!r}; expected one of {KINDS}")
@@ -548,12 +559,8 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
         if key not in doc:
             raise FormatError(f"{path}: missing required key {key!r}")
     try:
-        if "methods" in doc:
-            doc["methods"] = tuple(doc["methods"])
-        if "noise_levels" in doc:
-            doc["noise_levels"] = tuple(
-                None if v is None else float(v) for v in doc["noise_levels"]
-            )
+        if isinstance(doc.get("noise_levels"), list):
+            doc["noise_levels"] = [None if v is None else float(v) for v in doc["noise_levels"]]
         return ExperimentSpec(**doc)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

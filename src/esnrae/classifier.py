@@ -84,43 +84,34 @@ class Standardized:
 
     ``x`` is the (p, F+1) design, C-ordered: each feature standardized with
     the training ``mean`` and ``scale``, one row per pattern, a bias column of
-    ones appended. ``strided_rows`` says whether the design laid out like
-    the transposed features (as ``np.hstack([z.T, ones])`` would lay it out)
-    has strided rows, as it does for features given in C order; margins are
-    computed with that row stride, which fixes the summation order of their
-    dots.
+    ones appended. It depends on the feature values only, not on the memory
+    order they arrive in.
     """
 
     x: np.ndarray
     mean: np.ndarray
     scale: np.ndarray
-    strided_rows: bool
 
 
 def standardize(features: np.ndarray) -> Standardized:
-    """Standardize (F x p) training features into the classifier's design."""
-    features = np.asarray(features, dtype=float)
-    if features.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={features.ndim}")
-    mean = features.mean(axis=1)
-    std = features.std(axis=1)
+    """Standardize (F x p) training features into the classifier's design.
+
+    A reduction's summation order follows the memory order, so the
+    statistics are taken on an F-ordered copy of the features, whatever their
+    layout; the copy is then centred and scaled in place.
+    """
+    z = np.array(features, dtype=float, order="F")
+    if z.ndim != 2:
+        raise ValueError(f"features must be 2-D, got ndim={z.ndim}")
+    mean = z.mean(axis=1)
+    std = z.std(axis=1)
     scale = np.where(std == 0.0, 1.0, std)
-    z = (features - mean[:, None]) / scale[:, None]
-    # z is a fresh ufunc result, contiguous in C or F order. Laid out like
-    # z.T, the design's rows are strided exactly when z is C-ordered with more
-    # than one row and column (with one, z has both flags). The design itself
-    # is built C-ordered, so no strided copy of it is ever made.
-    strided_rows = z.flags.c_contiguous and not z.flags.f_contiguous
+    z -= mean[:, None]
+    z /= scale[:, None]
     x = np.empty((z.shape[1], z.shape[0] + 1))  # (p, F+1), bias appended
     x[:, :-1] = z.T
     x[:, -1] = 1.0
-    return Standardized(x=x, mean=mean, scale=scale, strided_rows=strided_rows)
-
-
-def _pegasos(x: np.ndarray, y: np.ndarray, params: ClassifierParams, rng: SeededRng) -> np.ndarray:
-    """Averaged Pegasos on one binary problem; x is (p, F+1), y is +/-1."""
-    design = (np.ascontiguousarray(x), x.strides[1] != x.itemsize)
-    return _pegasos_rows([design], [(0, y, rng)], params.reg_lambda, params.epochs)[0]
+    return Standardized(x=x, mean=mean, scale=scale)
 
 
 # The lockstep loop gathers the rows of this many steps at a time.
@@ -138,22 +129,22 @@ def _runs(keys: list) -> list[tuple[object, slice]]:
 
 
 def _pegasos_rows(
-    designs: list[tuple[np.ndarray, bool]],
+    designs: list[np.ndarray],
     problems: list[tuple[int, np.ndarray, SeededRng]],
     reg_lambda: float,
     epochs: int,
 ) -> list[np.ndarray]:
     """Averaged Pegasos on many binary problems in lockstep, one row each.
 
-    ``designs`` are (C-ordered (p, F+1) matrix, strided rows) pairs with one
-    pattern count p, the second as in :class:`Standardized`. Problem m is
-    (index into ``designs``, +/-1 labels, stream); its averaged weights are
-    returned at index m.
+    ``designs`` are (p, F+1) matrices with one pattern count p, as in
+    :class:`Standardized`. Problem m is (index into ``designs``, +/-1 labels,
+    stream); its averaged weights are returned at index m.
 
     Each row runs the per-problem loop's operations in the same order: it
     draws its own permutation per epoch; its margin and norm are one BLAS dot
     each (``np.matmul`` of (M, 1, F+1) by (M, F+1, 1) calls ddot once per row,
-    as ``w @ xi`` does), over its own width only; the hinge step touches only
+    as ``w @ xi`` does on a C-ordered design), over its own width only and on
+    the unit-stride rows gathered from its design; the hinge step touches only
     the rows that take it. So each row equals a separate run of the loop on
     its problem bit for bit, whatever else is in the batch:
     - Rows narrower than the widest are zero-padded, and the elementwise
@@ -161,44 +152,38 @@ def _pegasos_rows(
     - The gathered rows are multiplied by their labels. Negation is exact and
       rounding symmetric, so ``w @ (y*x)`` equals ``y * (w @ x)`` and
       ``eta * (y*x)`` equals ``(eta*y) * x``.
-    - OpenBLAS sums a dot of two unit-stride vectors in another order than
-      one with a strided operand, so rows of a design with strided rows are
-      copied into a strided buffer for their margin dot.
     - The projection multiplies every row by ``radius / fmax(norm, radius)``:
       that is the loop's ``radius / norm`` where ``norm > radius``, and
       exactly 1.0 (an exact product) where it is not, a NaN norm included.
     """
-    p = designs[0][0].shape[0]
-    # Strided-row problems first, then by width, then by design: a run of
-    # one layout shares its dot calls, and a design's problems are adjacent.
-    layouts = [(not strided, x.shape[1]) for x, strided in designs]
-    order = sorted(range(len(problems)), key=lambda i: (layouts[problems[i][0]], problems[i][0]))
+    p = designs[0].shape[0]
+    # By width, then by design: a run of one width shares its dot calls, and
+    # a design's problems are adjacent.
+    widths = [x.shape[1] for x in designs]
+    order = sorted(range(len(problems)), key=lambda i: (widths[problems[i][0]], problems[i][0]))
     problems = [problems[i] for i in order]
-    m, width = len(problems), max(f for _, f in layouts)
+    m, width = len(problems), max(widths)
     negative = np.stack([y < 0 for _, y, _ in problems])
     gens = [rng.generator() for _, _, rng in problems]
-    n_strided = sum(not layouts[j][0] for j, _, _ in problems)
 
     w = np.zeros((m, width))
     w_sum = np.zeros((m, width))
     step = np.empty((m, width))
     # Problem-major, so that each design's rows of a chunk are one block.
     rows = np.zeros((m, _CHUNK, width))
-    strided = np.empty((n_strided, _CHUNK, 2 * width))[:, :, ::2]  # element stride 2
     dots = np.empty((m, 1, 1))
     norms = np.empty((m, 1, 1))
     shrink = np.empty((m, 1))
     hinge = np.empty((m, 1), dtype=bool)
     # Per design, the span of its problems' rows; per run of problems with
-    # one layout, the (rows, 1, F+1) and (rows, F+1, 1) operands and the
+    # one width, the (rows, 1, F+1) and (rows, F+1, 1) operands and the
     # output of its margin and norm dots.
-    gathers = [(designs[j][0], span) for j, span in _runs([j for j, _, _ in problems])]
+    gathers = [(designs[j], span) for j, span in _runs([j for j, _, _ in problems])]
     margin_dots: list[list[tuple]] = [[] for _ in range(_CHUNK)]
     norm_dots: list[tuple] = []
-    for (unit, f), span in _runs([layouts[j] for j, _, _ in problems]):
-        source = rows if unit else strided
+    for f, span in _runs([widths[j] for j, _, _ in problems]):
         for k in range(_CHUNK):
-            margin_dots[k].append((w[span, None, :f], source[span, k, :f, None], dots[span]))
+            margin_dots[k].append((w[span, None, :f], rows[span, k, :f, None], dots[span]))
         norm_dots.append((w[span, None, :f], w[span, :f, None], norms[span]))
     margins, norms2 = dots[:, :, 0], norms[:, :, 0]
     radius = 1.0 / np.sqrt(reg_lambda)
@@ -215,7 +200,6 @@ def _pegasos_rows(
                 x.take(picks[span, start:stop], axis=0, mode="clip",
                        out=chunk[span, :, :x.shape[1]])
             np.negative(chunk, out=chunk, where=flips[:, start:stop])
-            np.copyto(strided[:, :size], chunk[:n_strided])
             for k in range(size):
                 t += 1
                 for a, b, out in margin_dots[k]:
@@ -236,7 +220,7 @@ def _pegasos_rows(
     w_sum /= t
     result: list[np.ndarray] = [np.empty(0)] * m
     for i, (j, _, _), row in zip(order, problems, w_sum):
-        result[i] = row[:layouts[j][1]].copy()
+        result[i] = row[:widths[j]].copy()
     return result
 
 
@@ -276,7 +260,7 @@ def train_classifiers(
             for slot, j in enumerate(members)
             for c in range(prepared[j][2])
         ]
-        designs = [(prepared[j][0].x, prepared[j][0].strided_rows) for j in members]
+        designs = [prepared[j][0].x for j in members]
         rows = iter(_pegasos_rows(designs, problems, reg_lambda, epochs))
         for j in members:
             weights[j] = np.stack([next(rows) for _ in range(prepared[j][2])])

@@ -564,6 +564,32 @@ class TestLoadSpec:
             bench_mod.load_spec(str(path))
 
 
+    @pytest.mark.parametrize(
+        "key, value, message",
+        [
+            ("dataset_name", 5, "dataset_name must be a string"),
+            ("dataset_name", "a/b", "dataset_name must not hold"),
+            ("dataset_name", "../escape", "dataset_name must not hold"),
+            ("dataset_name", "a\\b", "dataset_name must not hold"),
+            ("dataset_name", "a\u0000b", "dataset_name must not hold"),
+            ("train_path", 5, "train_path must be a string"),
+            ("test_path", True, "test_path must be a string"),
+            ("methods", "esn-rae", "methods must be a list"),
+            ("noise_levels", "10", "noise_levels must be a list"),
+        ],
+    )
+    def test_ill_typed_strings_and_lists_are_format_errors_naming_the_file(
+        self, tmp_path, key, value, message
+    ):
+        from esnrae import FormatError
+
+        doc = {"train_path": "a", "test_path": "b", key: value}
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(doc))
+        with pytest.raises(FormatError, match=rf"spec\.json: {message}"):
+            bench_mod.load_spec(str(path))
+
+
 class TestSharedClassIds:
     def test_test_split_ids_follow_training_labels(self, synth_files, tmp_path):
         from esnrae import parse_ucr, parse_ucr_pair

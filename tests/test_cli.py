@@ -278,6 +278,32 @@ class TestBenchCommand:
         assert "spec.json" in stderr
         assert not fitted
 
+    @pytest.mark.parametrize(
+        "extra",
+        [
+            {"dataset_name": 5},
+            {"dataset_name": "a/b"},
+            {"dataset_name": "../escape"},
+            {"test_path": True},
+            {"methods": "esn-rae"},
+        ],
+        ids=lambda extra: f"{extra}",
+    )
+    def test_ill_typed_string_or_list_exits_2_before_any_cell(
+        self, synth_files, tmp_path, capsys, monkeypatch, extra
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, **extra)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert "spec.json" in stderr and next(iter(extra)) in stderr
+        assert not fitted
+        assert not out.exists() and not list(tmp_path.glob("*_report.*"))
+
     def test_n_hidden_numpy_cannot_address_exits_2_before_any_cell(
         self, synth_files, tmp_path, capsys, monkeypatch
     ):

@@ -3,7 +3,10 @@
 Each shortcut (one spectral radius per distinct draw, a grid-scoped radius
 memo, no product with an all-zero recurrent matrix, one shape check per
 ``run_collect``, the lockstep Pegasos loop) is pinned against the plain
-computation it replaces.
+computation it replaces. The plain classifier computation is the
+per-problem loop on the design of F-ordered features; the classifier
+depends on the feature values only, so C-ordered features give the same
+bits.
 """
 
 import numpy as np
@@ -12,6 +15,7 @@ import pytest
 import esnrae.bench as bench_mod
 import esnrae.reservoir as res_mod
 from esnrae import (
+    Dataset,
     ExperimentSpec,
     ReservoirConfig,
     SeededRng,
@@ -23,11 +27,12 @@ from esnrae import (
     sparse_random_matrix,
     step,
 )
+from esnrae.autoencoder import RaeTrainSpec, fit
 from esnrae.classifier import (
     ClassifierParams,
     Standardized,
-    _pegasos,
     standardize,
+    train_classifier,
     train_classifiers,
 )
 
@@ -78,7 +83,7 @@ class TestRunCollectEqualsStep:
 
 
 class TestFeatureLayout:
-    """standardize takes the Pegasos dot order from the features' memory order."""
+    """Encoders emit C-ordered features; ``esnrae classify`` reads them F-ordered."""
 
     @pytest.mark.parametrize("recurrent", [True, False])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -90,8 +95,6 @@ class TestFeatureLayout:
         assert h.shape == (cfg.n_hidden, 9)
         assert h.dtype == np.float64
         assert h.flags.c_contiguous
-        assert standardize(h).strided_rows
-        assert not standardize(patterns.T).strided_rows
 
 
 class TestRadiusMemo:
@@ -229,13 +232,17 @@ class TestPegasos:
         g = SeededRng(9).generator()
         x = np.hstack([g.standard_normal((60, 12)), np.ones((60, 1))])
         y = np.where(g.standard_normal(60) + x[:, 0] > 0, 1.0, -1.0)
-        params = ClassifierParams(reg_lambda=reg_lambda, epochs=7, seed=0)
+        labels = np.where(y > 0, 0, 1)  # class 0 is the +1 problem
+        params = ClassifierParams(reg_lambda=reg_lambda, epochs=7, seed=10)
+        design = Standardized(x=x, mean=np.zeros(12), scale=np.ones(12))
+        (clf,) = train_classifiers([(design, labels, params)])
         rng = SeededRng(10).child("class0")
-        assert np.array_equal(_pegasos(x, y, params, rng), reference_pegasos(x, y, params, rng))
+        assert np.array_equal(clf.weights[0], reference_pegasos(x, y, params, rng))
 
 
 def reference_design(features):
-    """The classifier's standardized design as first written."""
+    """The classifier's standardized design as first written, on F-ordered features."""
+    features = np.asfortranarray(features)
     mean = features.mean(axis=1)
     std = features.std(axis=1)
     scale = np.where(std == 0.0, 1.0, std)
@@ -261,15 +268,14 @@ class TestLockstepPegasos:
             self.job(g, width, n_classes, order, reg_lambda, seed, n_patterns)
             for seed, (width, n_classes, order, n_patterns) in enumerate(
                 [(12, 2, "C", 40), (12, 3, "F", 40), (7, 3, "C", 40), (7, 2, "F", 40),
-                 (12, 2, "F", 40), (12, 2, "C", 30)]
+                 (12, 2, "F", 40), (12, 2, "C", 30), (48, 3, "C", 40), (48, 2, "F", 40)]
             )
         ]
         classifiers = train_classifiers(jobs)
         assert len(classifiers) == len(jobs)
         for (features, labels, params), clf in zip(jobs, classifiers):
             x, mean, scale = reference_design(features)
-            # C-ordered features give a design with strided rows.
-            assert x.flags.f_contiguous == features.flags.c_contiguous
+            assert x.flags.c_contiguous  # unit-stride rows
             assert np.array_equal(clf.mean, mean) and np.array_equal(clf.scale, scale)
             assert clf.weights.shape == (labels.max() + 1, x.shape[1])
             for c, row in enumerate(clf.weights):
@@ -287,50 +293,70 @@ class TestLockstepPegasos:
             assert np.array_equal(a.mean, b.mean) and np.array_equal(a.scale, b.scale)
 
     @staticmethod
-    def margin_on_the_edge(params, y, seed):
-        """A 2-pattern design whose second margin is 1.0 up to summation order.
+    def margin_on_the_edge(labels, seed):
+        """Features and params whose second margin is 1.0 up to summation order.
 
         OpenBLAS sums ``w @ x`` in one order when both vectors have unit
-        stride and in another when x is a row of an F-ordered matrix. The
-        search returns a C-ordered design for which the two orders put the
-        margin of the second step on opposite sides of 1.0, or None.
+        stride and in another when x is a row of an F-ordered matrix. Each
+        draw standardizes random features and picks ``reg_lambda`` so that,
+        after the first step (projected onto the ball), class 0's second
+        margin is 1.0 in exact arithmetic. The search returns the first
+        (features, params) for which the two orders put that margin on
+        opposite sides of 1.0, or None.
         """
-        first, second = SeededRng(params.seed).child("class0").generator().permutation(2)
+        y = np.where(labels == 0, 1.0, -1.0)
+        first, second = SeededRng(0).child("class0").generator().permutation(len(labels))[:2]
         g = SeededRng(seed).generator()
         for _ in range(400):
-            x = np.empty((2, 40))
-            x[first] = g.standard_normal(40)
-            w = (1.0 / params.reg_lambda) * y[first] * x[first]
+            features = g.standard_normal((39, len(labels)))
+            x = standardize(features).x
+            # The projected first step is y1 * x1 scaled to length 1/sqrt(lam),
+            # which puts the second margin at along / sqrt(lam).
+            along = y[first] * y[second] * (x[first] @ x[second]) / np.linalg.norm(x[first])
+            if along <= 0.0:
+                continue
+            params = ClassifierParams(reg_lambda=along * along, epochs=1, seed=0)
+            lam, radius = params.reg_lambda, 1.0 / np.sqrt(params.reg_lambda)
+            w = 1.0 / lam * y[first] * x[first]
             norm = np.linalg.norm(w)
-            if norm > 1.0 / np.sqrt(params.reg_lambda):
-                w *= (1.0 / np.sqrt(params.reg_lambda)) / norm
-            v = g.standard_normal(40)
-            x[second] = y[second] * v / (w @ v)
+            if norm > radius:
+                w *= radius / norm
             unit = y[second] * (w @ x[second])
             strided = y[second] * (w @ np.asfortranarray(x)[second])
             if (unit < 1.0) != (strided < 1.0):
-                return x
+                return features, params
         return None
 
-    def test_margin_dot_keeps_the_row_stride(self):
-        params = ClassifierParams(reg_lambda=0.1, epochs=1, seed=3)
-        labels = np.array([0, 1])
-        y = np.where(labels == 0, 1.0, -1.0)
-        x = self.margin_on_the_edge(params, y, seed=13)
-        if x is None:
-            pytest.skip("this BLAS sums unit-stride and strided dots alike")
-        x_f = np.asfortranarray(x)
-        rng = SeededRng(params.seed).child("class0")
-        by_rows = reference_pegasos(x, y, params, rng)
-        by_strided_rows = reference_pegasos(x_f, y, params, rng)
-        assert not np.array_equal(by_rows, by_strided_rows)
-        assert np.array_equal(_pegasos(x, y, params, rng), by_rows)
-        assert np.array_equal(_pegasos(x_f, y, params, rng), by_strided_rows)
-        # Both layouts in one lockstep pass.
-        stats = dict(mean=np.zeros(39), scale=np.ones(39))
-        both = train_classifiers([
-            (Standardized(x=x, strided_rows=False, **stats), labels, params),
-            (Standardized(x=x, strided_rows=True, **stats), labels, params),
-        ])
-        assert np.array_equal(both[0].weights[0], by_rows)
-        assert np.array_equal(both[1].weights[0], by_strided_rows)
+    @staticmethod
+    def esn_rae_features():
+        """esn-rae training features at ECG200 shape (N = 150, p = 100)."""
+        g = SeededRng(14).generator()
+        d = Dataset(name="ecg200", patterns=g.standard_normal((100, 96)),
+                    labels=np.arange(100) % 2, label_names=(0, 1), split="train")
+        cfg = ReservoirConfig(n_hidden=150, input_dim=96, connectivity=0.1)
+        ae = fit(d, RaeTrainSpec(cfg=cfg, seed=1), "esn-rae")
+        return ae.features_train, d.labels, ClassifierParams(seed=1)
+
+    @pytest.mark.parametrize("case", ["margin-on-the-edge", "esn-rae-ecg200"])
+    def test_layout_does_not_change_the_classifier(self, case):
+        if case == "margin-on-the-edge":
+            labels = np.array([0, 1, 1])
+            found = self.margin_on_the_edge(labels, seed=13)
+            if found is None:
+                pytest.skip("this BLAS sums unit-stride and strided dots alike")
+            features, params = found
+        else:
+            features, labels, params = self.esn_rae_features()
+        c_order, f_order = np.ascontiguousarray(features), np.asfortranarray(features)
+        a, b = standardize(c_order), standardize(f_order)
+        assert np.array_equal(a.mean, b.mean) and np.array_equal(a.scale, b.scale)
+        assert np.array_equal(a.x, b.x)
+        by_c = train_classifier(c_order, labels, params)
+        by_f = train_classifier(f_order, labels, params)
+        assert np.array_equal(by_c.mean, by_f.mean) and np.array_equal(by_c.scale, by_f.scale)
+        assert np.array_equal(by_c.weights, by_f.weights)
+        # Both equal the per-problem loop on the (C-ordered) design.
+        for c, row in enumerate(by_c.weights):
+            y = np.where(labels == c, 1.0, -1.0)
+            rng = SeededRng(params.seed).child(f"class{c}")
+            assert np.array_equal(row, reference_pegasos(a.x, y, params, rng))
