@@ -9,9 +9,9 @@ Four variants share one training scheme:
 
 Training draws one random network, sets the targets equal to the inputs,
 solves the readout in closed form, ties the input weights to the transpose
-of that readout, recomputes every layer's states under the new input map,
-and refits the readout so the stored reconstruction error describes the
-final encoder. A draw that training cannot use is skipped (see :func:`fit`).
+of that readout, and recomputes every layer's states under the new input map.
+The stored reconstruction error is that of a readout refit on the recomputed
+states. A draw that training cannot use is skipped (see :func:`fit`).
 The extracted features are the last layer's recomputed states.
 """
 
@@ -26,13 +26,11 @@ import numpy as np
 
 from .data import Dataset
 from .errors import FormatError, NumericalError, TrainingError
-from .linalg import SeededRng, pinv
+from .linalg import SeededRng, pinv, rank
 from .reservoir import (
     EsnWeights,
     ReservoirConfig,
-    _read_block,
     _read_exact,
-    _write_block,
     init_weights,
     load_weights,
     run_collect,
@@ -60,33 +58,32 @@ class RaeTrainSpec:
 
 @dataclass(frozen=True)
 class TrainedAutoencoder:
-    """A fitted encoder: tied weights, refit readout, and train features.
+    """A fitted encoder: tied weights and how well they reconstruct.
 
     ``weights.w_in[:, 1:]`` holds the transpose of the chosen draw's readout,
-    entry-exact. ``w_out_refit`` is the readout refit on the recomputed
-    states; ``reconstruction_error`` pairs with it and describes the final
-    network, while ``pre_tying_error`` is the chosen draw's error before
-    tying. ``chosen_candidate`` is the index of the draw used, which is also
-    the number of unusable draws skipped before it.
+    entry-exact. ``reconstruction_error`` is the residual of the readout
+    refit on the recomputed states and describes the final network, while
+    ``pre_tying_error`` is the chosen draw's error before tying. Each is
+    exactly ``0.0`` when its states have full column rank, where the readout
+    interpolates every pattern. ``chosen_candidate`` is the index of the draw
+    used, which is also the number of unusable draws skipped before it.
     """
 
     kind: str
     weights: EsnWeights
-    w_out_refit: np.ndarray
     reconstruction_error: float
     pre_tying_error: float
     chosen_candidate: int
-    features_train: np.ndarray
     spec: RaeTrainSpec
 
 
-def train_readout(h: np.ndarray, targets: np.ndarray) -> np.ndarray:
-    """Closed-form least-squares readout: returns W_out with y(n) = W_out x(n).
+def train_readout(h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
+    """Closed-form least-squares readout W_out with y(n) = W_out x(n), and rank(H).
 
     ``h`` holds one state column per pattern (N x p); ``targets`` one pattern
     per row (p x K) - for autoencoding, the input patterns themselves. Solved
-    as W_out = (pinv(H^T) U)^T, which is the least-norm exact interpolation
-    when there are fewer patterns than hidden units.
+    as W_out = (pinv(H^T) U)^T, which interpolates exactly (least-norm) when
+    the rank, taken under :func:`~esnrae.linalg.pinv`'s cutoff, equals p.
     """
     hm = np.asarray(h, dtype=float)
     targets = np.asarray(targets, dtype=float)
@@ -98,7 +95,8 @@ def train_readout(h: np.ndarray, targets: np.ndarray) -> np.ndarray:
         )
     if not np.any(hm):
         raise NumericalError("state matrix is identically zero; readout is undefined")
-    return (pinv(hm.T) @ targets).T
+    h_pinv, h_rank = pinv(hm.T)
+    return (h_pinv @ targets).T, h_rank
 
 
 def reconstruction_error(w_out: np.ndarray, h: np.ndarray, targets: np.ndarray) -> float:
@@ -123,33 +121,22 @@ def _validate_kind(kind: str, cfg: ReservoirConfig) -> None:
         raise ValueError(f"{kind} needs n_layers == 1, got {cfg.n_layers}")
 
 
-def _tie_input_weights(weights: EsnWeights, w_out: np.ndarray) -> EsnWeights:
-    """Copy the readout transpose into the input columns (bias kept)."""
-    n, k = weights.n_hidden, weights.input_dim
-    if w_out.shape != (k, n):
-        raise ValueError(
-            f"readout shape {w_out.shape} cannot be tied into input map "
-            f"({n} hidden, {k} inputs); layer sizes must all equal {n}"
-        )
-    w_in = weights.w_in.copy()
-    w_in[:, 1:] = w_out.T
-    return replace(weights, w_in=w_in)
-
-
 # Network draws fit tries before it gives up. A draw is unusable when one of
 # its recurrent layers stays nilpotent through every init_weights retry, as
 # about one seed in seven does at the oliveoil preset (N = 300, beta = 0.001).
 MAX_DRAWS = 10
 
 
-def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
-    """Train one autoencoder of the given kind on a training set.
+def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> tuple[TrainedAutoencoder, np.ndarray]:
+    """Train one autoencoder of the given kind; returns it and its train features.
 
     Draws networks from the streams ``cand0``, ``cand1``, ... and keeps the
     first whose draw, states and readout raise no NumericalError; after
     :data:`MAX_DRAWS` unusable draws it raises TrainingError. Then ties the
-    input weights to that readout's transpose, recomputes all layer states in
-    one pass, and refits the readout on the recomputed states.
+    input weights to that readout's transpose and recomputes all layer states
+    in one pass; the last layer's states (N x p) are the train features.
+    A readout on states of full column rank p interpolates, so its error is
+    recorded as exactly 0.0 without a residual or, after tying, a refit.
     """
     _validate_kind(kind, spec.cfg)
     if spec.cfg.input_dim != d_train.input_len:
@@ -158,6 +145,7 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
             f"{d_train.input_len}"
         )
     targets = d_train.patterns  # outputs are set equal to the inputs
+    p = len(targets)
     base = SeededRng(spec.seed)
     recurrent = is_recurrent(kind)
 
@@ -165,31 +153,31 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> TrainedAutoencoder:
         try:
             wts = init_weights(spec.cfg, base.child(f"cand{chosen}"), recurrent=recurrent)
             h = run_collect(wts, targets)
-            w_out = train_readout(h, targets)
+            # Tying keeps only the bias column of the drawn input map.
+            wts = replace(wts, w_in=wts.w_in[:, :1].copy())
+            w_out, h_rank = train_readout(h, targets)
         except NumericalError:
             continue
         break
     else:
         raise TrainingError(f"all {MAX_DRAWS} network draws were degenerate")
-    pre_tying_error = reconstruction_error(w_out, h, targets)
+    pre_tying_error = 0.0 if h_rank == p else reconstruction_error(w_out, h, targets)
     del h  # so the recompute below holds one state matrix, not two
 
-    tied = _tie_input_weights(wts, w_out)
-    del wts, w_out  # the tie replaced the drawn input map and copied the readout
+    tied = replace(wts, w_in=np.hstack((wts.w_in, w_out.T)))  # bias, then readout^T
+    del wts, w_out
     h = run_collect(tied, targets)
-    w_out_refit = train_readout(h, targets)
-    final_err = reconstruction_error(w_out_refit, h, targets)
+    full_rank = p <= len(h) and rank(h.T) == p
+    final_err = 0.0 if full_rank else reconstruction_error(train_readout(h, targets)[0], h, targets)
 
     return TrainedAutoencoder(
         kind=kind,
         weights=tied,
-        w_out_refit=w_out_refit,
         reconstruction_error=final_err,
         pre_tying_error=pre_tying_error,
         chosen_candidate=chosen,
-        features_train=h,
         spec=spec,
-    )
+    ), h
 
 
 def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
@@ -199,25 +187,21 @@ def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
 
 # ---------------------------------------------------------------------------
 # Trained-encoder envelope: a JSON metadata header followed by the binary
-# weight container, the refit readout block, and the train-feature block.
+# weight container, and nothing after it.
 #
 # Layout (little-endian):
-#   magic   8 bytes  b"ESNRAE\x00\x02"
+#   magic   8 bytes  b"ESNRAE\x00\x03"
 #   u32     JSON header length in bytes, then that many UTF-8 bytes
 #   weight container (see reservoir module)
-#   w_out_refit, feature blocks, in the weight container's block format:
-#   u32 rows, u32 cols, float64 row-major
-# Version 1 also stored the chosen draw's readout, a copy of the tied
-# input columns, and the reset_policy and pinv_tolerance settings; it is
-# refused rather than read.
+# Versions 1 and 2, which also held blocks and settings that no reader needs,
+# are refused rather than read.
 # ---------------------------------------------------------------------------
 
-_MAGIC = b"ESNRAE\x00\x02"
-_MAGIC_V1 = b"ESNRAE\x00\x01"
+_MAGIC = b"ESNRAE\x00\x03"
 
 
 def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
-    """Write a trained encoder (metadata, weights, readout, features) to disk."""
+    """Write a trained encoder (metadata and weights) to disk."""
     meta = {
         "kind": t.kind,
         "seed": t.spec.seed,
@@ -232,8 +216,6 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
         fh.write(struct.pack("<I", len(blob)))
         fh.write(blob)
         save_weights(t.weights, fh)
-        _write_block(fh, t.w_out_refit)
-        _write_block(fh, t.features_train)
 
 
 def _read_meta(fh: BinaryIO, path: str) -> dict:
@@ -284,18 +266,15 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
-        if magic == _MAGIC_V1:
+        if magic[:-1] == _MAGIC[:-1] and magic[-1] in (1, 2):
             raise FormatError(
-                f"{path}: encoder envelope version 1 is no longer read (it held a "
-                "copy of the tied input weights and two retired settings); re-run "
-                "`esnrae encode` to write version 2"
+                f"{path}: encoder envelope version {magic[-1]} is no longer read; "
+                "re-run `esnrae encode` to write version 3"
             )
         if magic != _MAGIC:
             raise FormatError(f"{path}: not an encoder envelope (magic {magic!r})")
         meta = _read_meta(fh, path)
         weights = load_weights(fh)
-        w_out_refit = _read_block(fh, "encoder envelope")
-        features = _read_block(fh, "encoder envelope")
     config = meta["config"]
     for key, actual in (
         ("n_hidden", weights.n_hidden),
@@ -315,11 +294,9 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
         return TrainedAutoencoder(
             kind=meta["kind"],
             weights=weights,
-            w_out_refit=w_out_refit,
             reconstruction_error=meta["reconstruction_error"],
             pre_tying_error=meta["pre_tying_error"],
             chosen_candidate=meta["chosen_candidate"],
-            features_train=features,
             spec=spec,
         )
     except (KeyError, TypeError, ValueError) as exc:

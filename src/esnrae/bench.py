@@ -113,6 +113,8 @@ class ExperimentSpec:
              "an integer in the signed 64-bit range"),
             (_NUMBER_FIELDS, _is_number, "a number"),
             (_BOOL_FIELDS, lambda v: type(v) is bool, "true or false"),
+            (("noise_levels",), lambda v: all(x is None or _is_number(x) for x in v),
+             "a list of numbers or nulls"),
         ):
             for name in names:
                 if not ok(getattr(self, name)):
@@ -272,11 +274,11 @@ def _encode_cell(
             return cell, (design, d_train.labels, d_test.patterns.T, d_test.labels)
         cfg = spec.reservoir_config(method, d_train.input_len)
         t0 = time.perf_counter()
-        ae = fit(d_train, RaeTrainSpec(cfg=cfg, seed=seed), method)
+        ae, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=seed), method)
         fit_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
         f_test = encode(ae, d_test)
-        design = standardize(ae.features_train)
+        design = standardize(f_train)
         encode_ms = (time.perf_counter() - t0) * 1e3
     except (ValueError, NumericalError, FormatError, MemoryError) as exc:
         return _failed(cell, exc), None
@@ -560,7 +562,7 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
             raise FormatError(f"{path}: missing required key {key!r}")
     try:
         if isinstance(doc.get("noise_levels"), list):
-            doc["noise_levels"] = [None if v is None else float(v) for v in doc["noise_levels"]]
+            doc["noise_levels"] = [float(v) if _is_number(v) else v for v in doc["noise_levels"]]
         return ExperimentSpec(**doc)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -28,8 +28,8 @@ class ClassifierParams:
     def __post_init__(self):
         if self.reg_lambda <= 0:
             raise ValueError(f"reg_lambda must be positive, got {self.reg_lambda}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 1 <= self.epochs <= 10_000:  # 200 times the default
+            raise ValueError(f"epochs must be in [1, 10000], got {self.epochs}")
 
 
 @dataclass(frozen=True)

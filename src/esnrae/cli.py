@@ -107,13 +107,13 @@ def cmd_encode(args) -> int:
         }
     )
 
-    ae = fit(d_train, spec, args.kind)
+    ae, features_train = fit(d_train, spec, args.kind)
     features_test = encode(ae, d_test)
 
     os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.join(args.out_dir, f"{d_train.name}_{args.kind}")
     save_autoencoder(ae, stem + ".esnae")
-    write_ucr(_features_as_dataset(ae.features_train, d_train), stem + "_train_features.csv")
+    write_ucr(_features_as_dataset(features_train, d_train), stem + "_train_features.csv")
     write_ucr(_features_as_dataset(features_test, d_test), stem + "_test_features.csv")
     print(f"wrote {stem}.esnae and train/test feature files")
     print(f"reconstruction error: {ae.reconstruction_error:.6g} "

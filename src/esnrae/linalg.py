@@ -77,25 +77,41 @@ def sparse_random_matrix(
     return flat.reshape(rows, cols)
 
 
-def pinv(m: np.ndarray) -> np.ndarray:
-    """Moore-Penrose pseudo-inverse via SVD.
-
-    Singular values below ``1e-12 * max(rows, cols) * sigma_max`` are treated
-    as zero. Handles the ill-posed case where there are fewer samples than
-    hidden units (the least-norm solution).
-    """
+def _svd(m: np.ndarray, compute_uv: bool):
+    """numpy's thin SVD of a finite 2-D matrix, and the mask of its singular
+    values above ``1e-12 * max(rows, cols) * sigma_max`` (the others count as zero)."""
     m = np.asarray(m, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a 2-D matrix, got ndim={m.ndim}")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix contains non-finite entries")
     try:
-        return np.linalg.pinv(m, rcond=1e-12 * max(m.shape))
+        svd = np.linalg.svd(m, full_matrices=False, compute_uv=compute_uv)
     except np.linalg.LinAlgError as exc:
         raise NumericalError(
             f"SVD failed to converge for {m.shape[0]}x{m.shape[1]} matrix "
             f"(|max|={np.abs(m).max():.3e}): {exc}"
         ) from exc
+    s = svd[1] if compute_uv else svd
+    return svd, s > 1e-12 * max(m.shape) * np.max(s)
+
+
+def pinv(m: np.ndarray) -> tuple[np.ndarray, int]:
+    """Moore-Penrose pseudo-inverse via SVD, and the rank it was taken at.
+
+    Singular values at or below the :func:`_svd` cutoff count as zero, which
+    gives the least-norm solution when there are fewer samples than hidden
+    units. Bit for bit ``np.linalg.pinv(m, rcond=1e-12 * max(m.shape))``.
+    """
+    (u, s, vt), large = _svd(m, compute_uv=True)
+    np.divide(1, s, where=large, out=s)
+    s[~large] = 0
+    return np.matmul(vt.T, s[:, None] * u.T), int(np.count_nonzero(large))
+
+
+def rank(m: np.ndarray) -> int:
+    """Rank of ``m`` under :func:`pinv`'s cutoff, from its singular values only."""
+    return int(np.count_nonzero(_svd(m, compute_uv=False)[1]))
 
 
 def spectral_radius(w: np.ndarray) -> float:

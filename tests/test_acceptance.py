@@ -125,7 +125,7 @@ class TestCriterion1PropertySuite:
                 m = g.standard_normal((rows, r)) @ g.standard_normal((r, cols))
             else:
                 m = g.standard_normal((rows, cols))
-            mp = pinv(m)
+            mp = pinv(m)[0]
             s = max(np.linalg.norm(m), 1e-30)
             sp = max(np.linalg.norm(mp), 1e-30)
             worst = max(
@@ -182,13 +182,13 @@ class TestCriterion1PropertySuite:
         for kind in ALL_KINDS:
             layers = 2 if kind.startswith("ml") else 1
             cfg = ReservoirConfig(n_hidden=15, input_dim=20, connectivity=0.2, n_layers=layers)
-            t = fit(d, RaeTrainSpec(cfg=cfg, seed=107), kind)
+            t, _ = fit(d, RaeTrainSpec(cfg=cfg, seed=107), kind)
             draw = init_weights(
                 cfg,
                 SeededRng(107).child(f"cand{t.chosen_candidate}"),
                 recurrent=not kind.endswith("elm-ae"),
             )
-            w_out = train_readout(run_collect(draw, d.patterns), d.patterns)
+            w_out, _ = train_readout(run_collect(draw, d.patterns), d.patterns)
             gap = np.abs(t.weights.w_in[:, 1:] - w_out.T).max()
             if gap != 0.0:
                 failures.append(f"tying gap {gap} for {kind}")
@@ -383,8 +383,8 @@ class TestCriterion7FeatureRangeAndSparsity:
                 input_dim=d_train.input_len,
                 connectivity=preset["connectivity"],
             )
-            t = fit(d_train, RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
-            features = np.hstack([t.features_train, encode(t, d_test)])
+            t, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
+            features = np.hstack([f_train, encode(t, d_test)])
             in_range = np.abs(features).max() < 1.0
             near_zero = float(np.mean(np.abs(features) < 0.05))
             details.append(f"{name}: near-zero {near_zero:.3f}")
@@ -426,7 +426,7 @@ class TestPublishedShapes:
             input_dim=136,
             connectivity=preset["connectivity"],
         )
-        t = fit(normalize(train, train), RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
+        t, _ = fit(normalize(train, train), RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
         features = encode(t, normalize(test, train))
         assert features.shape == (100, 861)
 

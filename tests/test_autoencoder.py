@@ -17,6 +17,7 @@ from esnrae import (
     encode,
     fit,
     load_autoencoder,
+    make_synthetic,
     reconstruction_error,
     save_autoencoder,
     train_readout,
@@ -45,13 +46,14 @@ def chosen_draw_and_readout(t, d):
     """The chosen draw's weights and readout, recomputed from its stream."""
     rng = SeededRng(t.spec.seed).child(f"cand{t.chosen_candidate}")
     wts = ae_mod.init_weights(t.spec.cfg, rng, recurrent=ae_mod.is_recurrent(t.kind))
-    return wts, train_readout(ae_mod.run_collect(wts, d.patterns), d.patterns)
+    return wts, train_readout(ae_mod.run_collect(wts, d.patterns), d.patterns)[0]
 
 
 class TestTrainReadout:
     def test_identity_states_identity_targets(self):
-        w = train_readout(np.eye(3), np.eye(3))
+        w, rank = train_readout(np.eye(3), np.eye(3))
         assert np.allclose(w, np.eye(3), atol=1e-12)
+        assert rank == 3
 
     def test_underdetermined_interpolates_exactly(self):
         # Fewer patterns than hidden units: least-norm solution reproduces
@@ -59,14 +61,16 @@ class TestTrainReadout:
         g = SeededRng(1).child("h").generator()
         h = np.tanh(g.standard_normal((100, 28)))
         targets = g.standard_normal((28, 286))
-        w = train_readout(h, targets)
+        w, rank = train_readout(h, targets)
+        assert rank == 28
         assert reconstruction_error(w, h, targets) < 1e-8
 
     def test_overdetermined_matches_normal_equations_oracle(self):
         g = SeededRng(2).child("h").generator()
         h = g.standard_normal((10, 50))
         targets = g.standard_normal((50, 7))
-        w = train_readout(h, targets)
+        w, rank = train_readout(h, targets)
+        assert rank == 10
         # Independent route: solve the normal equations directly.
         w_oracle = np.linalg.solve(h @ h.T, h @ targets).T
         r_ours = np.linalg.norm(w @ h - targets.T)
@@ -78,7 +82,7 @@ class TestTrainReadout:
         g = SeededRng(3).child("h").generator()
         h = g.standard_normal((12, 30))
         targets = g.standard_normal((30, 5))
-        w = train_readout(h, targets)
+        w, _ = train_readout(h, targets)
         base = reconstruction_error(w, h, targets)
         for i in range(50):
             delta = SeededRng(i).child("delta").generator().standard_normal(w.shape)
@@ -111,7 +115,7 @@ class TestReconstructionError:
         g = SeededRng(5).child("t").generator()
         h = np.tanh(g.standard_normal((15, 40)))
         targets = g.standard_normal((40, 8))
-        trained = reconstruction_error(train_readout(h, targets), h, targets)
+        trained = reconstruction_error(train_readout(h, targets)[0], h, targets)
         for i in range(100):
             w = SeededRng(i).child("rand").generator().uniform(-1, 1, (8, 15))
             assert reconstruction_error(w, h, targets) >= trained
@@ -121,36 +125,37 @@ class TestFit:
     def test_tying_is_entry_exact(self):
         d = random_dataset()
         for kind, layers in (("esn-rae", 1), ("ml-esn-rae", 2), ("elm-ae", 1), ("ml-elm-ae", 2)):
-            t = fit(d, train_spec(layers=layers), kind)
+            t, _ = fit(d, train_spec(layers=layers), kind)
             wts, w_out = chosen_draw_and_readout(t, d)
             assert np.array_equal(t.weights.w_in[:, 1:], w_out.T)
             assert np.array_equal(t.weights.w_in[:, 0], wts.w_in[:, 0])
 
     def test_single_candidate_still_ties_and_recomputes(self):
         d = random_dataset(seed=8)
-        t = fit(d, train_spec(seed=9), "esn-rae")
+        t, features = fit(d, train_spec(seed=9), "esn-rae")
         assert t.chosen_candidate == 0
         assert np.array_equal(t.weights.w_in[:, 1:], chosen_draw_and_readout(t, d)[1].T)
         # Recomputation happened: features come from the tied network.
-        trace = encode(t, d)
-        assert np.array_equal(trace, t.features_train)
+        assert np.array_equal(encode(t, d), features)
 
-    def test_refit_readout_is_optimal_for_stored_features(self):
+    def test_refit_readout_is_optimal_for_returned_features(self):
+        # p >= N: the recorded error is the optimal refit readout's residual.
         d = random_dataset(p=60, k=16, seed=10)
-        t = fit(d, train_spec(n=12, k=16, seed=11), "esn-rae")
-        base = reconstruction_error(t.w_out_refit, t.features_train, d.patterns)
-        assert base == pytest.approx(t.reconstruction_error, rel=1e-12)
+        t, features = fit(d, train_spec(n=12, k=16, seed=11), "esn-rae")
+        w_refit, _ = train_readout(features, d.patterns)
+        base = reconstruction_error(w_refit, features, d.patterns)
+        assert base == t.reconstruction_error
         for i in range(20):
-            delta = SeededRng(i).child("d").generator().standard_normal(t.w_out_refit.shape)
+            delta = SeededRng(i).child("d").generator().standard_normal(w_refit.shape)
             delta *= 1e-3 / np.linalg.norm(delta)
-            assert reconstruction_error(t.w_out_refit + delta, t.features_train, d.patterns) >= base
+            assert reconstruction_error(w_refit + delta, features, d.patterns) >= base
 
     def test_feature_shape_and_range(self):
         d = random_dataset(p=100, k=96, seed=12)
         spec = train_spec(n=150, k=96, beta=0.1, seed=13)
-        t = fit(d, spec, "esn-rae")
-        assert t.features_train.shape == (150, 100)
-        assert np.abs(t.features_train).max() < 1.0
+        _, features = fit(d, spec, "esn-rae")
+        assert features.shape == (150, 100)
+        assert np.abs(features).max() < 1.0
 
     def test_ml_kind_requires_multiple_layers(self):
         d = random_dataset()
@@ -173,9 +178,9 @@ class TestFit:
 
     def test_deterministic(self):
         d = random_dataset(seed=14)
-        a = fit(d, train_spec(seed=15), "esn-rae")
-        b = fit(d, train_spec(seed=15), "esn-rae")
-        assert np.array_equal(a.features_train, b.features_train)
+        a, features_a = fit(d, train_spec(seed=15), "esn-rae")
+        b, features_b = fit(d, train_spec(seed=15), "esn-rae")
+        assert np.array_equal(features_a, features_b)
         assert (a.pre_tying_error, a.chosen_candidate) == (b.pre_tying_error, b.chosen_candidate)
 
 
@@ -205,17 +210,17 @@ class TestSelectionRule:
         for first in range(ae_mod.MAX_DRAWS):
             with monkeypatch.context() as m:
                 calls = counting_run_collect(m, degenerate_calls=range(first))
-                t = fit(d, spec, "esn-rae")
+                t, _ = fit(d, spec, "esn-rae")
             assert t.chosen_candidate == first
             assert len(calls) == first + 2  # the draws made, then the tied recompute
 
     def test_round_off_stops_after_first_non_degenerate(self, monkeypatch):
         calls = counting_run_collect(monkeypatch, degenerate_calls=(0, 1))
         d = random_dataset(p=20, k=12, seed=53)
-        t = fit(d, train_spec(n=40, k=12, seed=54), "esn-rae")
+        t, _ = fit(d, train_spec(n=40, k=12, seed=54), "esn-rae")
         assert t.chosen_candidate == 2
         assert len(calls) == 4
-        assert t.pre_tying_error < 1e-9
+        assert t.pre_tying_error == 0.0
 
 
 class TestLazyFit:
@@ -223,17 +228,17 @@ class TestLazyFit:
     def test_interpolating_fit_trains_one_candidate(self, monkeypatch, kind):
         calls = counting_run_collect(monkeypatch)
         d = random_dataset(p=20, k=12, seed=51)
-        t = fit(d, train_spec(n=40, k=12, seed=52), kind)
+        t, _ = fit(d, train_spec(n=40, k=12, seed=52), kind)
         assert len(calls) == 2  # one draw, then the tied recompute
         assert t.chosen_candidate == 0
-        assert t.pre_tying_error < 1e-9
+        assert t.pre_tying_error == 0.0
 
     def test_more_patterns_than_units_trains_one_draw_too(self, monkeypatch):
         # p >= N: the readout no longer interpolates, and still only the first
         # usable draw is trained.
         calls = counting_run_collect(monkeypatch)
         d = random_dataset(p=50, k=12, seed=6)
-        t = fit(d, train_spec(n=8, k=12, seed=7), "esn-rae")
+        t, _ = fit(d, train_spec(n=8, k=12, seed=7), "esn-rae")
         assert len(calls) == 2
         assert t.chosen_candidate == 0
         assert t.pre_tying_error > 0.1
@@ -245,10 +250,10 @@ class TestLazyFit:
         cfg = ReservoirConfig(n_hidden=300, input_dim=10, connectivity=0.001)
         with pytest.raises(DegenerateMatrixError):
             ae_mod.init_weights(cfg, SeededRng(11).child("cand0"))
-        t = fit(d, RaeTrainSpec(cfg=cfg, seed=11), "esn-rae")
+        t, _ = fit(d, RaeTrainSpec(cfg=cfg, seed=11), "esn-rae")
         assert t.chosen_candidate == 1
         draw = ae_mod.init_weights(cfg, SeededRng(11).child("cand1"))
-        w_out = train_readout(ae_mod.run_collect(draw, d.patterns), d.patterns)
+        w_out, _ = train_readout(ae_mod.run_collect(draw, d.patterns), d.patterns)
         assert np.array_equal(t.weights.w_in[:, 0], draw.w_in[:, 0])
         assert np.array_equal(t.weights.w_in[:, 1:], w_out.T)
         assert all(map(np.array_equal, t.weights.w, draw.w))
@@ -268,14 +273,85 @@ class TestLazyFit:
                 continue
             usable.append(c)
         assert usable[0] == 3
-        assert fit(d, spec, "esn-rae").chosen_candidate == usable[0]
+        assert fit(d, spec, "esn-rae")[0].chosen_candidate == usable[0]
+
+
+def counting(monkeypatch, name):
+    """Record the result of each call fit makes to the autoencoder module's ``name``."""
+    results = []
+    real = getattr(ae_mod, name)
+
+    def counted(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(ae_mod, name, counted)
+    return results
+
+
+def old_errors(t, d):
+    """(pre-tying, final) errors as fit computed them with a refit solve for each."""
+    draw = ae_mod.init_weights(
+        t.spec.cfg,
+        SeededRng(t.spec.seed).child(f"cand{t.chosen_candidate}"),
+        recurrent=ae_mod.is_recurrent(t.kind),
+    )
+    errors = []
+    for weights in (draw, t.weights):
+        h = ae_mod.run_collect(weights, d.patterns)
+        h_pinv = np.linalg.pinv(h.T, rcond=1e-12 * max(h.shape))
+        errors.append(reconstruction_error((h_pinv @ d.patterns).T, h, d.patterns))
+    return tuple(errors)
+
+
+class TestOneSolve:
+    """A full-rank fit solves once; every other fit refits as before."""
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_full_rank_fit_solves_once_and_records_zero(self, monkeypatch, kind):
+        pinvs = counting(monkeypatch, "pinv")
+        residuals = counting(monkeypatch, "reconstruction_error")
+        layers = 2 if ae_mod.is_multilayer(kind) else 1
+        t, _ = fit(random_dataset(p=20, k=12, seed=60), train_spec(n=40, k=12, layers=layers), kind)
+        assert len(pinvs) == 1
+        assert residuals == []
+        assert (t.pre_tying_error, t.reconstruction_error) == (0.0, 0.0)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_more_patterns_than_units_refits_bit_for_bit(self, monkeypatch, kind):
+        # The configs/synth-bench.json shape: p = 60, N = 32, length 64.
+        d, _ = make_synthetic(n_train=60, n_test=2, length=64, seed=61)
+        layers = 2 if ae_mod.is_multilayer(kind) else 1
+        pinvs = counting(monkeypatch, "pinv")
+        t, _ = fit(d, train_spec(n=32, k=64, layers=layers, seed=62), kind)
+        assert len(pinvs) == 2
+        assert (t.pre_tying_error, t.reconstruction_error) == old_errors(t, d)
+        assert t.reconstruction_error > 0.1
+
+    def test_rank_deficient_fit_refits(self, monkeypatch):
+        # Duplicated rows give duplicated feed-forward state columns, so the
+        # states have rank 10 < p = 20 < N = 40.
+        base = random_dataset(p=10, k=12, seed=63)
+        d = Dataset(
+            name=base.name,
+            patterns=np.vstack([base.patterns, base.patterns]),
+            labels=np.tile(base.labels, 2),
+            label_names=base.label_names,
+            split=base.split,
+        )
+        pinvs = counting(monkeypatch, "pinv")
+        residuals = counting(monkeypatch, "reconstruction_error")
+        t, _ = fit(d, train_spec(n=40, k=12, seed=64), "elm-ae")
+        assert [rank for _, rank in pinvs] == [10, 10]
+        assert len(residuals) == 2
+        assert (t.pre_tying_error, t.reconstruction_error) == old_errors(t, d)
 
 
 class TestElmStructure:
     def test_feed_forward_ignores_pattern_order(self):
         # Shuffling the patterns permutes the feature columns identically.
         d = random_dataset(p=30, k=10, seed=16)
-        t = fit(d, train_spec(n=20, k=10, seed=17), "elm-ae")
+        t, _ = fit(d, train_spec(n=20, k=10, seed=17), "elm-ae")
         g = SeededRng(18).child("perm").generator()
         perm = g.permutation(30)
         shuffled = Dataset(
@@ -289,7 +365,7 @@ class TestElmStructure:
 
     def test_single_pattern_equals_batch_column(self):
         d = random_dataset(p=12, k=10, seed=19)
-        t = fit(d, train_spec(n=20, k=10, seed=20), "elm-ae")
+        t, _ = fit(d, train_spec(n=20, k=10, seed=20), "elm-ae")
         full = encode(t, d)
         for j in (0, 5, 11):
             one = Dataset(
@@ -303,12 +379,12 @@ class TestElmStructure:
 
     def test_recurrent_matrices_unused(self):
         d = random_dataset(seed=21)
-        t = fit(d, train_spec(seed=22), "elm-ae")
+        t, _ = fit(d, train_spec(seed=22), "elm-ae")
         assert all(np.count_nonzero(w) == 0 for w in t.weights.w)
 
     def test_ml_elm_layers_are_feed_forward_too(self):
         d = random_dataset(p=20, k=10, seed=23)
-        t = fit(d, train_spec(n=15, k=10, layers=2, seed=24), "ml-elm-ae")
+        t, _ = fit(d, train_spec(n=15, k=10, layers=2, seed=24), "ml-elm-ae")
         g = SeededRng(25).child("perm").generator()
         perm = g.permutation(20)
         shuffled = Dataset(
@@ -325,13 +401,13 @@ class TestEncode:
     def test_train_encode_matches_stored_features_bit_exactly(self):
         d = random_dataset(seed=26)
         for kind, layers in (("esn-rae", 1), ("ml-esn-rae", 2)):
-            t = fit(d, train_spec(layers=layers, seed=27), kind)
-            assert np.array_equal(encode(t, d), t.features_train)
+            t, features = fit(d, train_spec(layers=layers, seed=27), kind)
+            assert np.array_equal(encode(t, d), features)
 
     def test_carry_mode_is_causal(self):
         # Column j must not depend on later patterns.
         d = random_dataset(p=25, k=10, seed=28)
-        t = fit(d, train_spec(n=20, k=10, seed=29), "esn-rae")
+        t, _ = fit(d, train_spec(n=20, k=10, seed=29), "esn-rae")
         full = encode(t, d)
         cut = 10
         g = SeededRng(30).child("tail").generator()
@@ -361,13 +437,13 @@ class TestEncode:
         fractions = {}
         for beta in (0.1, 1.0):
             spec = train_spec(n=150, k=96, beta=beta, seed=32)
-            t = fit(d, spec, "esn-rae")
-            fractions[beta] = np.mean(np.abs(t.features_train) < 0.05)
+            _, features = fit(d, spec, "esn-rae")
+            fractions[beta] = np.mean(np.abs(features) < 0.05)
         assert fractions[0.1] > fractions[1.0]
 
     def test_length_mismatch_rejected(self):
         d = random_dataset(k=24)
-        t = fit(d, train_spec(), "esn-rae")
+        t, _ = fit(d, train_spec(), "esn-rae")
         with pytest.raises(ValueError):
             encode(t, random_dataset(k=23))
 
@@ -375,7 +451,7 @@ class TestEncode:
 class TestEnvelope:
     def test_roundtrip_bit_exact(self, tmp_path):
         d = random_dataset(seed=33)
-        t = fit(d, train_spec(layers=2, seed=34), "ml-esn-rae")
+        t, _ = fit(d, train_spec(layers=2, seed=34), "ml-esn-rae")
         path = str(tmp_path / "enc.esnae")
         save_autoencoder(t, path)
         back = load_autoencoder(path)
@@ -384,9 +460,11 @@ class TestEnvelope:
         assert back.reconstruction_error == t.reconstruction_error
         assert back.pre_tying_error == t.pre_tying_error
         assert back.spec == t.spec
-        assert np.array_equal(back.w_out_refit, t.w_out_refit)
-        assert np.array_equal(back.features_train, t.features_train)
         assert np.array_equal(back.weights.w_in, t.weights.w_in)
+        for name in ("w", "w_inter", "b_e"):
+            loaded, fitted = getattr(back.weights, name), getattr(t.weights, name)
+            assert len(loaded) == len(fitted)
+            assert all(map(np.array_equal, loaded, fitted))
         # Loaded encoder encodes identically.
         assert np.array_equal(encode(back, d), encode(t, d))
 
@@ -402,7 +480,7 @@ class TestEnvelope:
 class TestEnvelopeErrors:
     @pytest.fixture(scope="class")
     def envelope(self, tmp_path_factory):
-        t = fit(random_dataset(seed=40), train_spec(seed=41), "esn-rae")
+        t, _ = fit(random_dataset(seed=40), train_spec(seed=41), "esn-rae")
         path = str(tmp_path_factory.mktemp("env") / "enc.esnae")
         save_autoencoder(t, path)
         with open(path, "rb") as fh:
@@ -507,7 +585,7 @@ class TestEnvelopeErrors:
     def test_kind_contradicting_the_layer_count(self, tmp_path, kind):
         import json
 
-        t = fit(random_dataset(seed=42), train_spec(layers=2, seed=43), "ml-esn-rae")
+        t, _ = fit(random_dataset(seed=42), train_spec(layers=2, seed=43), "ml-esn-rae")
         path = str(tmp_path / "ml.esnae")
         save_autoencoder(t, path)
         with open(path, "rb") as fh:
@@ -518,11 +596,11 @@ class TestEnvelopeErrors:
         with pytest.raises(FormatError, match=f"{kind} needs n_layers == 1"):
             self.load(tmp_path, self.rebuild(raw, json.dumps(meta).encode()))
 
-    def test_version_1_envelope_is_refused(self, tmp_path, envelope):
-        from esnrae import FormatError
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_older_envelope_versions_are_refused(self, tmp_path, envelope, version):
+        with pytest.raises(FormatError, match=f"version {version}.*esnrae encode"):
+            self.load(tmp_path, b"ESNRAE\x00" + bytes([version]) + envelope[8:])
 
-        with pytest.raises(FormatError, match="version 1.*esnrae encode"):
-            self.load(tmp_path, b"ESNRAE\x00\x01" + envelope[8:])
 
     def test_deeply_nested_metadata_is_a_format_error(self, tmp_path, envelope):
         from esnrae import FormatError
@@ -530,23 +608,20 @@ class TestEnvelopeErrors:
         with pytest.raises(FormatError, match="unreadable encoder metadata"):
             self.load(tmp_path, self.rebuild(envelope, b"[" * 100000))
 
-    def test_version_2_holds_weights_refit_readout_and_features_only(self, envelope):
+    def test_version_3_holds_metadata_and_weights_only(self, envelope):
         import io
         import json
 
-        from esnrae.reservoir import _read_block, load_weights
+        from esnrae.reservoir import load_weights
 
         magic, meta_bytes, rest = self.split(envelope)
-        assert magic == b"ESNRAE\x00\x02"
+        assert magic == b"ESNRAE\x00\x03"
         meta = json.loads(meta_bytes)
         retired = {"reset_policy", "pinv_tolerance", "n_candidates", "candidate_errors"}
         assert not retired & set(meta)
         fh = io.BytesIO(rest)
-        weights = load_weights(fh)
-        w_out_refit, features = _read_block(fh), _read_block(fh)
+        assert load_weights(fh).n_hidden == 30
         assert fh.read() == b""
-        assert w_out_refit.shape == (weights.input_dim, weights.n_hidden)
-        assert features.shape == (weights.n_hidden, 40)
 
     def test_fewer_errors_than_candidates_loads(self, tmp_path, envelope):
         import json
@@ -579,7 +654,7 @@ class TestEnvelopeProperties:
     def work(self, tmp_path_factory):
         """A scratch directory and a small valid envelope (a few hundred bytes of blocks)."""
         d = tmp_path_factory.mktemp("envprop")
-        t = fit(random_dataset(p=6, k=3, seed=50), train_spec(n=4, k=3, beta=1.0, seed=51), "esn-rae")
+        t, _ = fit(random_dataset(p=6, k=3, seed=50), train_spec(n=4, k=3, beta=1.0, seed=51), "esn-rae")
         return d, saved_envelope(t, d / "valid.esnae")
 
     @staticmethod
@@ -618,7 +693,7 @@ class TestEnvelopeProperties:
         d, _ = work
         layers = 2 if ae_mod.is_multilayer(kind) else 1
         spec = train_spec(n=4, k=3, beta=1.0, layers=layers, seed=seed)
-        first = saved_envelope(fit(random_dataset(p=6, k=3, seed=seed), spec, kind), d / "a.esnae")
+        first = saved_envelope(fit(random_dataset(p=6, k=3, seed=seed), spec, kind)[0], d / "a.esnae")
         again = saved_envelope(load_autoencoder(str(d / "a.esnae")), d / "b.esnae")
         assert again == first
 

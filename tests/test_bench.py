@@ -193,6 +193,16 @@ class TestRunExperiment:
         with pytest.raises(ValueError):
             small_spec(synth_files, noise_levels=(10.0, 10.0))
 
+    @pytest.mark.parametrize("levels", [("10",), (True,), (None, False), (None, [1.0])])
+    def test_non_number_noise_levels_rejected(self, synth_files, levels):
+        with pytest.raises(ValueError, match="noise_levels must be a list of numbers or nulls"):
+            small_spec(synth_files, noise_levels=levels)
+
+    @pytest.mark.parametrize("epochs", [10_001, 2**62])
+    def test_epochs_above_bound_rejected(self, epochs):
+        with pytest.raises(ValueError, match=r"epochs must be in \[1, 10000\]"):
+            ExperimentSpec(train_path="a", test_path="b", epochs=epochs)
+
 
 class TestNoiseMonotonicity:
     @staticmethod
@@ -547,6 +557,9 @@ class TestLoadSpec:
             '"methods": 5',
             '"noise_levels": 5',
             '"noise_levels": ["x"]',
+            '"noise_levels": ["10", true]',
+            '"noise_levels": [null, false]',
+            '"epochs": 10001',
             '"n_runs": 2.5',
             '"n_hidden": 20.5',
             '"epochs": "50"',

@@ -144,6 +144,14 @@ class TestClassifyCommand:
         assert code == 0
         assert "error rate" in stdout
 
+    def test_epochs_above_bound_exits_2(self, synth_files, capsys):
+        train, test = synth_files
+        code, _, stderr = run_cli(
+            ["classify", "--train", train, "--test", test, "--epochs", "10001"], capsys
+        )
+        assert code == 2
+        assert "epochs must be in [1, 10000]" in stderr
+
 
 class TestBenchCommand:
     def write_spec(self, tmp_path, synth_files, **extra):
@@ -262,6 +270,8 @@ class TestBenchCommand:
             {"spectral_radius": -1},
             {"pinv_tolerance": -1},
             {"noise_levels": [None, float("inf")]},
+            pytest.param({"epochs": 10_001}, id="epochs-above-bound"),
+            pytest.param({"noise_levels": ["10", True]}, id="noise_levels-string-and-bool"),
         ],
         ids=lambda extra: ",".join(extra),
     )

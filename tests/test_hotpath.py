@@ -334,8 +334,8 @@ class TestLockstepPegasos:
         d = Dataset(name="ecg200", patterns=g.standard_normal((100, 96)),
                     labels=np.arange(100) % 2, label_names=(0, 1), split="train")
         cfg = ReservoirConfig(n_hidden=150, input_dim=96, connectivity=0.1)
-        ae = fit(d, RaeTrainSpec(cfg=cfg, seed=1), "esn-rae")
-        return ae.features_train, d.labels, ClassifierParams(seed=1)
+        _, features = fit(d, RaeTrainSpec(cfg=cfg, seed=1), "esn-rae")
+        return features, d.labels, ClassifierParams(seed=1)
 
     @pytest.mark.parametrize("case", ["margin-on-the-edge", "esn-rae-ecg200"])
     def test_layout_does_not_change_the_classifier(self, case):

@@ -12,6 +12,7 @@ from esnrae import (
     sparse_random_matrix,
     spectral_radius,
 )
+from esnrae.linalg import rank
 
 
 def gelfand_radius(a, squarings=60):
@@ -97,17 +98,19 @@ class TestSparseRandomMatrix:
 
 class TestPinv:
     def test_identity(self):
-        assert np.allclose(pinv(np.eye(4)), np.eye(4), atol=1e-14)
+        assert np.allclose(pinv(np.eye(4))[0], np.eye(4), atol=1e-14)
 
     def test_singular_diagonal(self):
-        got = pinv(np.diag([2.0, 0.0]))
+        got, rank = pinv(np.diag([2.0, 0.0]))
         assert np.allclose(got, np.diag([0.5, 0.0]), atol=1e-14)
+        assert rank == 1
 
     def test_full_rank_rectangular(self):
         g = SeededRng(11).child("m").generator()
         m = g.standard_normal((10, 6))
-        mp = pinv(m)
+        mp, rank = pinv(m)
         assert np.linalg.norm(m @ mp @ m - m) / np.linalg.norm(m) < 1e-10
+        assert rank == 6
 
     def test_penrose_conditions_on_random_matrices(self):
         # Includes rank-deficient cases via low-rank products.
@@ -120,7 +123,7 @@ class TestPinv:
                 m = g.standard_normal((rows, r)) @ g.standard_normal((r, cols))
             else:
                 m = g.standard_normal((rows, cols))
-            mp = pinv(m)
+            mp = pinv(m)[0]
             scale = max(np.linalg.norm(m), 1e-30)
             assert np.linalg.norm(m @ mp @ m - m) / scale < 1e-8
             assert np.linalg.norm(mp @ m @ mp - mp) / max(np.linalg.norm(mp), 1e-30) < 1e-8
@@ -130,6 +133,23 @@ class TestPinv:
     def test_rejects_non_finite(self):
         with pytest.raises(ValueError):
             pinv(np.array([[1.0, np.nan], [0.0, 1.0]]))
+        with pytest.raises(ValueError):
+            rank(np.array([[1.0, np.inf], [0.0, 1.0]]))
+
+    @pytest.mark.parametrize("shape", [(100, 150), (322, 600), (23, 100), (60, 32)])
+    def test_equals_numpy_pinv_bit_for_bit(self, shape):
+        # Transposed tanh states, as train_readout passes them: p x N, F-ordered.
+        g = SeededRng(17).child("states").generator()
+        m = np.tanh(g.standard_normal(shape[::-1])).T
+        got, full = pinv(m)
+        assert np.array_equal(got, np.linalg.pinv(m, rcond=1e-12 * max(shape)))
+        assert full == rank(m) == min(shape)
+
+    def test_rank_counts_singular_values_above_the_cutoff(self):
+        g = SeededRng(19).child("low-rank").generator()
+        m = g.standard_normal((12, 3)) @ g.standard_normal((3, 20))
+        assert pinv(m)[1] == rank(m) == rank(m.T) == 3
+        assert rank(np.diag([1.0, 1e-11, 1e-13])) == 2  # cutoff 3e-12
 
 
 class TestSpectralRadius:

@@ -48,9 +48,11 @@ def test_fit_holds_at_most_two_state_matrices_beyond_its_result(earthquakes_trai
         connectivity=connectivity,
         n_layers=2 if is_multilayer(kind) else 1,
     )
-    ae, peak, kept = traced_peak(fit, earthquakes_train, RaeTrainSpec(cfg=cfg, seed=1), kind)
-    assert ae.features_train.shape == (n_hidden, P)
-    assert peak - kept <= 2 * ae.features_train.nbytes
+    (_, features), peak, kept = traced_peak(
+        fit, earthquakes_train, RaeTrainSpec(cfg=cfg, seed=1), kind
+    )
+    assert features.shape == (n_hidden, P)
+    assert peak - kept <= 2 * features.nbytes
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
