@@ -259,10 +259,10 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
     """Inverse of :func:`save_autoencoder`, bit-exact.
 
     A file that is not a complete, self-consistent envelope raises
-    FormatError; that includes metadata whose reservoir config disagrees with
-    the stored weight dimensions, a kind whose layer count disagrees with the
-    weights, and ill-typed training metadata. Metadata keys the envelope no
-    longer writes are ignored.
+    FormatError; that includes bytes after the weight container, metadata
+    whose reservoir config disagrees with the stored weight dimensions, a kind
+    whose layer count disagrees with the weights, and ill-typed training
+    metadata. Metadata keys the envelope no longer writes are ignored.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -275,6 +275,8 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
             raise FormatError(f"{path}: not an encoder envelope (magic {magic!r})")
         meta = _read_meta(fh, path)
         weights = load_weights(fh)
+        if fh.read(1):
+            raise FormatError(f"{path}: bytes follow the weight container")
     config = meta["config"]
     for key, actual in (
         ("n_hidden", weights.n_hidden),

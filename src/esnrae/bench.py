@@ -15,9 +15,10 @@ rate on test features. The ``raw`` baseline skips the encoder and feeds the
 (preprocessed) patterns straight to the classifier. Runs go one at a time:
 all cells of a run are encoded first, keeping only each cell's standardized
 training design and test features, then the run's classifiers train together
-in one lockstep pass (each bit-identical to training it alone), each cell is
-scored, and the run's features are dropped. Memory beyond one cell therefore
-holds one run's features.
+in one lockstep pass on the run's training labels and seed (each
+bit-identical to training it alone), each cell is scored, and the run's
+features are dropped. Memory beyond one cell therefore holds one run's
+features.
 """
 
 from __future__ import annotations
@@ -247,9 +248,9 @@ def _failed(cell: CellResult, exc: Exception) -> CellResult:
 
 
 # A cell between encoding and classification: its result so far and, unless
-# encoding failed, its standardized training design, training labels, test
-# features (one column per pattern) and test labels.
-_Encoded = tuple[CellResult, tuple[Standardized, np.ndarray, np.ndarray, np.ndarray] | None]
+# encoding failed, its standardized training design and its test features
+# (one column per pattern).
+_Encoded = tuple[CellResult, tuple[Standardized, np.ndarray] | None]
 
 
 def _encode_cell(
@@ -270,8 +271,7 @@ def _encode_cell(
     cell = CellResult(dataset=dataset, method=method, snr_db=level, run=run, seed=seed)
     try:
         if method == RAW_BASELINE:
-            design = standardize(d_train.patterns.T)
-            return cell, (design, d_train.labels, d_test.patterns.T, d_test.labels)
+            return cell, (standardize(d_train.patterns.T), d_test.patterns.T)
         cfg = spec.reservoir_config(method, d_train.input_len)
         t0 = time.perf_counter()
         ae, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=seed), method)
@@ -285,34 +285,37 @@ def _encode_cell(
     cell = replace(
         cell, recon_error=ae.reconstruction_error, fit_ms=fit_ms, encode_ms=encode_ms
     )
-    return cell, (design, d_train.labels, f_test, d_test.labels)
+    return cell, (design, f_test)
 
 
-def _classify(spec: ExperimentSpec, encoded: list[_Encoded]) -> list[CellResult]:
-    """Train the classifiers of the encoded cells in one pass, then score each.
+def _classify(
+    spec: ExperimentSpec,
+    encoded: list[_Encoded],
+    y_train: np.ndarray,
+    y_test: np.ndarray,
+    seed: int,
+) -> list[CellResult]:
+    """Train the classifiers of one run's encoded cells in one pass, then score each.
 
-    A cell's ``classify_ms`` is its evaluation time plus an equal share of the
-    shared training pass.
+    Every cell trains on ``y_train`` with the run's ``seed`` and is scored on
+    ``y_test``. A cell's ``classify_ms`` is its evaluation time plus an equal
+    share of the shared training pass.
     """
     done = [cell for cell, _ in encoded]
     ready = [i for i, (_, data) in enumerate(encoded) if data is not None]
     if not ready:
         return done
-    jobs = []
-    for i in ready:
-        design, y_train, _, _ = encoded[i][1]
-        params = ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=done[i].seed)
-        jobs.append((design, y_train, params))
+    params = ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=seed)
     t0 = time.perf_counter()
     try:
-        classifiers = train_classifiers(jobs)
+        classifiers = train_classifiers([encoded[i][1][0] for i in ready], y_train, params)
     except (ValueError, NumericalError, FormatError, MemoryError) as exc:
         for i in ready:
             done[i] = _failed(done[i], exc)
         return done
     share_ms = (time.perf_counter() - t0) * 1e3 / len(ready)
     for i, clf in zip(ready, classifiers):
-        _, _, f_test, y_test = encoded[i][1]
+        f_test = encoded[i][1][1]
         t0 = time.perf_counter()
         try:
             result = evaluate(clf, f_test, y_test)
@@ -347,16 +350,17 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     cells: list[CellResult] = []
     with radius_memo():
         for run in range(spec.n_runs):
+            seed = spec.base_seed + run
             # All methods within one (level, run) see the same corrupted data.
             noised = {
-                level: _noised(spec, d_train, d_test, level, spec.base_seed + run)
+                level: _noised(spec, d_train, d_test, level, seed)
                 for level in spec.noise_levels
             }
             encoded = [
                 _encode_cell(spec, dataset, method, level, run, *noised[level])
                 for method, level in encode_order
             ]
-            cells += _classify(spec, encoded)
+            cells += _classify(spec, encoded, d_train.labels, d_test.labels, seed)
             del encoded, noised
 
     # Keyed merge: report order follows the spec's grid, not encoding order.

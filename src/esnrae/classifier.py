@@ -5,8 +5,8 @@ stochastic subgradient descent with averaged iterates (Pegasos-style step
 sizes plus the ball projection). Features arrive one column per pattern, the
 orientation the encoders emit; they are standardized internally with
 training statistics so the loss scale is comparable across datasets.
-:func:`train_classifiers` trains many such classifiers side by side, each
-bit-identical to training it alone.
+:func:`train_classifiers` trains one such classifier per feature set of one
+training set side by side, each bit-identical to training it alone.
 """
 
 from __future__ import annotations
@@ -130,23 +130,26 @@ def _runs(keys: list) -> list[tuple[object, slice]]:
 
 def _pegasos_rows(
     designs: list[np.ndarray],
-    problems: list[tuple[int, np.ndarray, SeededRng]],
-    reg_lambda: float,
-    epochs: int,
-) -> list[np.ndarray]:
-    """Averaged Pegasos on many binary problems in lockstep, one row each.
+    labels: np.ndarray,
+    n_classes: int,
+    params: ClassifierParams,
+) -> np.ndarray:
+    """Averaged Pegasos on every one-vs-rest problem of every design, in lockstep.
 
     ``designs`` are (p, F+1) matrices with one pattern count p, as in
-    :class:`Standardized`. Problem m is (index into ``designs``, +/-1 labels,
-    stream); its averaged weights are returned at index m.
+    :class:`Standardized`; ``labels`` are their p class ids. The averaged
+    weights of problem c of design j (+1 where the label is c, -1 elsewhere)
+    are returned at ``[j, c]``, zero beyond the design's width. Every
+    design's problem c draws its permutations from the stream
+    ``SeededRng(params.seed).child(f"class{c}")``.
 
-    Each row runs the per-problem loop's operations in the same order: it
-    draws its own permutation per epoch; its margin and norm are one BLAS dot
-    each (``np.matmul`` of (M, 1, F+1) by (M, F+1, 1) calls ddot once per row,
-    as ``w @ xi`` does on a C-ordered design), over its own width only and on
-    the unit-stride rows gathered from its design; the hinge step touches only
-    the rows that take it. So each row equals a separate run of the loop on
-    its problem bit for bit, whatever else is in the batch:
+    Each row runs the per-problem loop's operations in the same order: its
+    margin and norm are one BLAS dot each (``np.matmul`` of (M, 1, F+1) by
+    (M, F+1, 1) calls ddot once per row, as ``w @ xi`` does on a C-ordered
+    design), over its own width only and on the unit-stride rows gathered
+    from its design; the hinge step touches only the rows that take it. So
+    each row equals a separate run of the loop on its problem bit for bit,
+    whatever else is in the batch:
     - Rows narrower than the widest are zero-padded, and the elementwise
       steps leave the padding zero.
     - The gathered rows are multiplied by their labels. Negation is exact and
@@ -156,49 +159,45 @@ def _pegasos_rows(
       that is the loop's ``radius / norm`` where ``norm > radius``, and
       exactly 1.0 (an exact product) where it is not, a NaN norm included.
     """
-    p = designs[0].shape[0]
-    # By width, then by design: a run of one width shares its dot calls, and
-    # a design's problems are adjacent.
+    p = labels.shape[0]
     widths = [x.shape[1] for x in designs]
-    order = sorted(range(len(problems)), key=lambda i: (widths[problems[i][0]], problems[i][0]))
-    problems = [problems[i] for i in order]
-    m, width = len(problems), max(widths)
-    negative = np.stack([y < 0 for _, y, _ in problems])
-    gens = [rng.generator() for _, _, rng in problems]
+    m, width = len(designs) * n_classes, max(widths)
+    negative = labels != np.arange(n_classes)[:, None]  # (C, p)
+    gens = [SeededRng(params.seed).child(f"class{c}").generator() for c in range(n_classes)]
 
     w = np.zeros((m, width))
     w_sum = np.zeros((m, width))
     step = np.empty((m, width))
-    # Problem-major, so that each design's rows of a chunk are one block.
+    # Design-major, so that each design's rows of a chunk are one block.
     rows = np.zeros((m, _CHUNK, width))
+    by_design = rows.reshape(len(designs), n_classes, _CHUNK, width)
     dots = np.empty((m, 1, 1))
     norms = np.empty((m, 1, 1))
     shrink = np.empty((m, 1))
     hinge = np.empty((m, 1), dtype=bool)
-    # Per design, the span of its problems' rows; per run of problems with
-    # one width, the (rows, 1, F+1) and (rows, F+1, 1) operands and the
-    # output of its margin and norm dots.
-    gathers = [(designs[j], span) for j, span in _runs([j for j, _, _ in problems])]
+    # Per run of designs with one width, the (rows, 1, F+1) and (rows, F+1, 1)
+    # operands and the output of its problems' margin and norm dots.
     margin_dots: list[list[tuple]] = [[] for _ in range(_CHUNK)]
     norm_dots: list[tuple] = []
-    for f, span in _runs([widths[j] for j, _, _ in problems]):
+    for f, run in _runs(widths):
+        span = slice(run.start * n_classes, run.stop * n_classes)
         for k in range(_CHUNK):
             margin_dots[k].append((w[span, None, :f], rows[span, k, :f, None], dots[span]))
         norm_dots.append((w[span, None, :f], w[span, :f, None], norms[span]))
     margins, norms2 = dots[:, :, 0], norms[:, :, 0]
+    reg_lambda = params.reg_lambda
     radius = 1.0 / np.sqrt(reg_lambda)
     t = 0
-    for _ in range(epochs):
-        picks = np.stack([g.permutation(p) for g in gens])  # (M, p) patterns in visit order
+    for _ in range(params.epochs):
+        picks = np.stack([g.permutation(p) for g in gens])  # (C, p) patterns in visit order
         flips = np.take_along_axis(negative, picks, axis=1)[:, :, None]
         for start in range(0, p, _CHUNK):
             stop = min(start + _CHUNK, p)
             size = stop - start
-            chunk = rows[:, :size]
-            for x, span in gathers:
+            chunk = by_design[:, :, :size]
+            for x, out in zip(designs, chunk):
                 # mode="clip" lets take write into ``out`` directly; picks are in range.
-                x.take(picks[span, start:stop], axis=0, mode="clip",
-                       out=chunk[span, :, :x.shape[1]])
+                x.take(picks[:, start:stop], axis=0, mode="clip", out=out[:, :, :x.shape[1]])
             np.negative(chunk, out=chunk, where=flips[:, start:stop])
             for k in range(size):
                 t += 1
@@ -218,55 +217,32 @@ def _pegasos_rows(
                 w *= shrink
                 w_sum += w
     w_sum /= t
-    result: list[np.ndarray] = [np.empty(0)] * m
-    for i, (j, _, _), row in zip(order, problems, w_sum):
-        result[i] = row[:widths[j]].copy()
-    return result
+    return w_sum.reshape(len(designs), n_classes, width)
 
 
 def train_classifiers(
-    jobs: list[tuple[np.ndarray | Standardized, np.ndarray, ClassifierParams]],
+    designs: list[Standardized], labels: np.ndarray, params: ClassifierParams
 ) -> list[LinearClassifier]:
-    """Fit one classifier per (features, labels, params) job.
+    """Fit one classifier per :func:`standardize` design, all on one training set's labels.
 
-    ``features`` is an F x p matrix, one column per pattern, or its
-    :func:`standardize` result; a caller that keeps only the latter holds one
-    copy of each job's training data. Each job trains as in
-    :func:`train_classifier`. The binary problems of all jobs with one
-    pattern count, ``reg_lambda`` and ``epochs`` train in one lockstep pass,
-    and each classifier equals the one its job trains alone, bit for bit.
+    Every design holds the same p patterns, in the order of ``labels``, and
+    trains with ``params`` as in :func:`train_classifier`. All their binary
+    problems train in one lockstep pass, and each classifier equals the one
+    its design trains alone, bit for bit.
     """
-    prepared = []
-    for features, labels, _ in jobs:
-        design = features if isinstance(features, Standardized) else standardize(features)
-        labels = np.asarray(labels, dtype=int)
+    labels = np.asarray(labels, dtype=int)
+    for design in designs:
         p = design.x.shape[0]
         if labels.shape != (p,):
             raise ValueError(f"label count {labels.shape} != feature column count {p}")
-        n_classes = int(labels.max()) + 1 if labels.size else 0
-        if n_classes < 2 or len(np.unique(labels)) < 2:
-            raise ValueError("classification needs at least 2 classes present")
-        prepared.append((design, labels, n_classes))
-
-    groups: dict[tuple, list[int]] = {}
-    for j, ((design, _, _), (_, _, params)) in enumerate(zip(prepared, jobs)):
-        key = (design.x.shape[0], params.reg_lambda, params.epochs)
-        groups.setdefault(key, []).append(j)
-    weights: dict[int, np.ndarray] = {}
-    for (_, reg_lambda, epochs), members in groups.items():
-        problems = [
-            (slot, np.where(prepared[j][1] == c, 1.0, -1.0),
-             SeededRng(jobs[j][2].seed).child(f"class{c}"))
-            for slot, j in enumerate(members)
-            for c in range(prepared[j][2])
-        ]
-        designs = [prepared[j][0].x for j in members]
-        rows = iter(_pegasos_rows(designs, problems, reg_lambda, epochs))
-        for j in members:
-            weights[j] = np.stack([next(rows) for _ in range(prepared[j][2])])
+    n_classes = int(labels.max()) + 1 if labels.size else 0
+    if n_classes < 2 or len(np.unique(labels)) < 2:
+        raise ValueError("classification needs at least 2 classes present")
+    weights = _pegasos_rows([d.x for d in designs], labels, n_classes, params)
     return [
-        LinearClassifier(weights=weights[j], mean=design.mean, scale=design.scale, params=params)
-        for j, ((design, _, _), (_, _, params)) in enumerate(zip(prepared, jobs))
+        LinearClassifier(weights=w[:, :d.x.shape[1]].copy(), mean=d.mean, scale=d.scale,
+                         params=params)
+        for d, w in zip(designs, weights)
     ]
 
 
@@ -281,21 +257,25 @@ def train_classifier(
     :func:`standardize`); class c trains a +/-1 problem on the stream
     ``SeededRng(params.seed).child(f"class{c}")``.
     """
-    return train_classifiers([(features, labels, params)])[0]
+    return train_classifiers([standardize(features)], labels, params)[0]
 
 
 def evaluate(
     c: LinearClassifier, features: np.ndarray, labels: np.ndarray
 ) -> EvalResult:
-    """Error rate (misclassified / total) and confusion matrix."""
+    """Error rate (misclassified / total) and confusion matrix.
+
+    ``labels`` must hold at least one class id, each in [0, n_classes).
+    """
     labels = np.asarray(labels, dtype=int)
     predictions = c.predict(features)
     if labels.shape != predictions.shape:
         raise ValueError(f"label count {labels.shape} != pattern count {predictions.shape}")
-    if labels.size and labels.max() >= c.n_classes:
-        raise ValueError(
-            f"label {labels.max()} out of range for {c.n_classes}-class classifier"
-        )
+    if not labels.size:
+        raise ValueError("no patterns to evaluate")
+    bad = labels[(labels < 0) | (labels >= c.n_classes)]
+    if bad.size:
+        raise ValueError(f"label {bad[0]} out of range for {c.n_classes}-class classifier")
     total = labels.shape[0]
     confusion = np.zeros((c.n_classes, c.n_classes), dtype=int)
     for truth, pred in zip(labels, predictions):

@@ -2,9 +2,10 @@
 
 Subcommands: encode, classify, bench, noise, synth. Every command echoes its
 fully resolved configuration before doing any work. Exit codes are a stable
-contract: 0 ok, 2 usage or data-format error (also running out of memory),
-3 numerical error, 4 partial benchmark failure (report still written,
-invalid cells marked).
+contract: 0 ok, 2 usage or data-format error (also running out of memory,
+or a file that cannot be read or written), 3 numerical error, 4 partial
+benchmark failure (report still written, invalid cells marked). Output
+directories are created before any fit.
 """
 
 from __future__ import annotations
@@ -106,11 +107,11 @@ def cmd_encode(args) -> int:
             "out_dir": args.out_dir,
         }
     )
+    os.makedirs(args.out_dir, exist_ok=True)
 
     ae, features_train = fit(d_train, spec, args.kind)
     features_test = encode(ae, d_test)
 
-    os.makedirs(args.out_dir, exist_ok=True)
     stem = os.path.join(args.out_dir, f"{d_train.name}_{args.kind}")
     save_autoencoder(ae, stem + ".esnae")
     write_ucr(_features_as_dataset(features_train, d_train), stem + "_train_features.csv")
@@ -158,9 +159,9 @@ def cmd_bench(args) -> int:
     _require_file(spec.train_path)
     _require_file(spec.test_path)
     _echo({"command": "bench", "spec_file": args.spec, **spec.echo()})
+    os.makedirs(args.out_dir, exist_ok=True)
 
     report = bench_mod.run_experiment(spec)
-    os.makedirs(args.out_dir, exist_ok=True)
     csv_path = os.path.join(args.out_dir, f"{report.dataset}_report.csv")
     md_path = os.path.join(args.out_dir, f"{report.dataset}_report.md")
     bench_mod.emit_csv(report, csv_path, include_timings=not args.no_timings)
@@ -297,13 +298,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except FormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
     except NumericalError as exc:
         print(f"numerical error: {exc}", file=sys.stderr)
         return EXIT_NUMERICAL
-    except ValueError as exc:
+    except (ValueError, OSError) as exc:  # FormatError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except MemoryError as exc:

@@ -229,9 +229,9 @@ class TestCriterion1PropertySuite:
         )
         blobs = []
         for i in range(2):
-            path = str(tmp_path / f"replay{i}.csv")
-            emit_csv(run_experiment(spec), path, include_timings=False)
-            blobs.append(open(path, "rb").read())
+            path = tmp_path / f"replay{i}.csv"
+            emit_csv(run_experiment(spec), str(path), include_timings=False)
+            blobs.append(path.read_bytes())
         if blobs[0] != blobs[1]:
             failures.append("replay csv differs")
 

@@ -508,6 +508,13 @@ class TestEnvelopeErrors:
         with pytest.raises(FormatError):
             self.load(tmp_path, envelope[:cut])
 
+    @pytest.mark.parametrize("extra", [1, 4000])
+    def test_trailing_bytes_are_refused(self, tmp_path, envelope, extra):
+        from esnrae import FormatError
+
+        with pytest.raises(FormatError, match="follow the weight container"):
+            self.load(tmp_path, envelope + b"\x00" * extra)
+
     def test_oversized_metadata_length(self, tmp_path, envelope):
         from esnrae import FormatError
 

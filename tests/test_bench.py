@@ -166,7 +166,7 @@ class TestRunExperiment:
                 assert c.valid
 
     def test_out_of_memory_in_training_marks_the_runs_cells_invalid(self, synth_files, monkeypatch):
-        def train_too_big(jobs):
+        def train_too_big(designs, labels, params):
             raise MemoryError("Unable to allocate 1.00 EiB for an array")
 
         monkeypatch.setattr(bench_mod, "train_classifiers", train_too_big)
@@ -174,6 +174,27 @@ class TestRunExperiment:
         assert [c.error for c in report.cells] == [
             "MemoryError: Unable to allocate 1.00 EiB for an array"
         ] * 3
+
+    def test_one_training_pass_per_run_on_the_training_labels(self, synth_files, monkeypatch):
+        from esnrae import parse_ucr_pair
+
+        calls = []
+        real_train = bench_mod.train_classifiers
+
+        def recording(designs, labels, params):
+            calls.append((len(designs), labels, params))
+            return real_train(designs, labels, params)
+
+        monkeypatch.setattr(bench_mod, "train_classifiers", recording)
+        spec = small_spec(synth_files, n_runs=3, base_seed=7, noise_levels=(None, 10.0))
+        report = run_experiment(spec)
+        assert not report.invalid_cells
+        d_train, _ = parse_ucr_pair(spec.train_path, spec.test_path, normalized=spec.normalize)
+        assert [params.seed for _, _, params in calls] == [7, 8, 9]
+        for n_designs, labels, params in calls:
+            assert n_designs == 6  # (2 methods + raw) x 2 levels
+            assert np.array_equal(labels, d_train.labels)
+            assert (params.reg_lambda, params.epochs) == (spec.reg_lambda, spec.epochs)
 
     def test_n_hidden_numpy_cannot_address_is_a_format_error(self, synth_files):
         with pytest.raises(FormatError, match="n_hidden"):

@@ -112,6 +112,21 @@ class TestEvaluate:
         assert res.error_rate == oracle
         assert res.misclassified == sum(1 for p, t in pairs if p != t)
 
+    def test_empty_label_set_rejected(self):
+        x, y = blobs([(-3.0, 0.0), (3.0, 0.0)], per_class=5, spread=0.2, seed=6)
+        clf = train_classifier(x, y)
+        with pytest.raises(ValueError, match="no patterns"):
+            evaluate(clf, np.zeros((2, 0)), np.zeros(0, dtype=int))
+
+    @pytest.mark.parametrize("bad", [-1, 2])
+    def test_label_outside_the_classes_rejected(self, bad):
+        x, y = blobs([(-3.0, 0.0), (3.0, 0.0)], per_class=5, spread=0.2, seed=6)
+        clf = train_classifier(x, y)
+        labels = y.copy()
+        labels[3] = bad
+        with pytest.raises(ValueError, match=f"label {bad} out of range"):
+            evaluate(clf, x, labels)
+
     def test_confusion_row_sums_and_offdiagonal(self):
         x, y = blobs([(-2.0, 0.0), (2.0, 0.0), (0.0, 3.0)], per_class=12, spread=1.5, seed=8)
         clf = train_classifier(x, y)

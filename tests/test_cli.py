@@ -51,17 +51,17 @@ class TestEncodeCommand:
         train, test = synth_files
         blobs = []
         for i in range(2):
-            out = str(tmp_path / f"out{i}")
+            out = tmp_path / f"out{i}"
             code, _, _ = run_cli(
                 ["encode", "--train", train, "--test", test,
                  "--n-hidden", "16", "--connectivity", "0.25",
-                 "--out-dir", out],
+                 "--out-dir", str(out)],
                 capsys,
             )
             assert code == 0
             blobs.append(
                 tuple(
-                    open(f"{out}/synth_esn-rae{suffix}", "rb").read()
+                    (out / f"synth_esn-rae{suffix}").read_bytes()
                     for suffix in (".esnae", "_train_features.csv", "_test_features.csv")
                 )
             )
@@ -454,6 +454,60 @@ class TestExitCodes:
         code, _, stderr = run_cli(["classify", "--train", train, "--test", test], capsys)
         assert code == 2
         assert stderr == "error: out of memory: allocation failed\n"
+
+
+class TestOutputPaths:
+    """A file that cannot be written is one error line and exit 2, before any fit."""
+
+    @staticmethod
+    def no_fit(monkeypatch):
+        import esnrae.bench as bench_mod
+        import esnrae.cli as cli_mod
+
+        def unreachable_fit(*args):
+            raise AssertionError("fit reached")
+
+        monkeypatch.setattr(cli_mod, "fit", unreachable_fit)
+        monkeypatch.setattr(bench_mod, "fit", unreachable_fit)
+
+    @staticmethod
+    def assert_one_error_line(stderr, path):
+        assert stderr.startswith("error: ") and stderr.count("\n") == 1
+        assert str(path) in stderr
+
+    def test_noise_into_a_missing_directory_exits_2(self, synth_files, tmp_path, capsys):
+        out = tmp_path / "missing" / "x.txt"
+        code, _, stderr = run_cli(
+            ["noise", "--input", synth_files[0], "--snr", "10", "--out", str(out)], capsys
+        )
+        assert code == 2
+        self.assert_one_error_line(stderr, out)
+
+    def test_encode_out_dir_that_is_a_file_exits_2_before_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        self.no_fit(monkeypatch)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        train, test = synth_files
+        code, _, stderr = run_cli(
+            ["encode", "--train", train, "--test", test, "--n-hidden", "8",
+             "--connectivity", "0.5", "--out-dir", str(taken)],
+            capsys,
+        )
+        assert code == 2
+        self.assert_one_error_line(stderr, taken)
+
+    def test_bench_out_dir_that_is_a_file_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        self.no_fit(monkeypatch)
+        spec = TestBenchCommand().write_spec(tmp_path, synth_files)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(taken)], capsys)
+        assert code == 2
+        self.assert_one_error_line(stderr, taken)
 
 
 class TestSynthCommand:

@@ -176,7 +176,7 @@ class TestGridSharesRadii:
             encoded = bench_mod._encode_cell(
                 spec, report.dataset, cell.method, cell.snr_db, cell.run, dtr, dte
             )
-            (alone,) = bench_mod._classify(spec, [encoded])
+            (alone,) = bench_mod._classify(spec, [encoded], dtr.labels, dte.labels, cell.seed)
             assert (alone.er, alone.recon_error) == (cell.er, cell.recon_error)
 
     def test_memo_open_during_the_grid_and_gone_after(self, synth_files, monkeypatch):
@@ -235,7 +235,7 @@ class TestPegasos:
         labels = np.where(y > 0, 0, 1)  # class 0 is the +1 problem
         params = ClassifierParams(reg_lambda=reg_lambda, epochs=7, seed=10)
         design = Standardized(x=x, mean=np.zeros(12), scale=np.ones(12))
-        (clf,) = train_classifiers([(design, labels, params)])
+        (clf,) = train_classifiers([design], labels, params)
         rng = SeededRng(10).child("class0")
         assert np.array_equal(clf.weights[0], reference_pegasos(x, y, params, rng))
 
@@ -253,44 +253,32 @@ def reference_design(features):
 class TestLockstepPegasos:
     """One train_classifiers call equals the per-problem loop, row by row."""
 
-    @staticmethod
-    def job(g, width, n_classes, order, reg_lambda, seed, n_patterns=40):
-        labels = np.arange(n_patterns) % n_classes
-        g.shuffle(labels)
-        features = g.standard_normal((width, n_patterns)) + labels
-        features = np.asfortranarray(features) if order == "F" else np.ascontiguousarray(features)
-        return features, labels, ClassifierParams(reg_lambda=reg_lambda, epochs=4, seed=seed)
-
+    @pytest.mark.parametrize("n_classes", [2, 3])
     @pytest.mark.parametrize("reg_lambda", [1e-4, 1e-1])
-    def test_each_row_equals_the_reference_loop(self, reg_lambda):
+    def test_each_row_equals_the_reference_loop(self, reg_lambda, n_classes):
         g = SeededRng(11).generator()
-        jobs = [
-            self.job(g, width, n_classes, order, reg_lambda, seed, n_patterns)
-            for seed, (width, n_classes, order, n_patterns) in enumerate(
-                [(12, 2, "C", 40), (12, 3, "F", 40), (7, 3, "C", 40), (7, 2, "F", 40),
-                 (12, 2, "F", 40), (12, 2, "C", 30), (48, 3, "C", 40), (48, 2, "F", 40)]
-            )
-        ]
-        classifiers = train_classifiers(jobs)
-        assert len(classifiers) == len(jobs)
-        for (features, labels, params), clf in zip(jobs, classifiers):
-            x, mean, scale = reference_design(features)
+        labels = np.arange(40) % n_classes
+        g.shuffle(labels)
+        params = ClassifierParams(reg_lambda=reg_lambda, epochs=4, seed=n_classes)
+        # Interleaved widths, in no sorted order, in both memory orders.
+        features = []
+        for width, order in [(12, "C"), (7, "F"), (48, "C"), (7, "C"), (12, "F")]:
+            f = g.standard_normal((width, len(labels))) + labels
+            features.append(np.asfortranarray(f) if order == "F" else np.ascontiguousarray(f))
+        classifiers = train_classifiers([standardize(f) for f in features], labels, params)
+        assert len(classifiers) == len(features)
+        for f, clf in zip(features, classifiers):
+            x, mean, scale = reference_design(f)
             assert x.flags.c_contiguous  # unit-stride rows
             assert np.array_equal(clf.mean, mean) and np.array_equal(clf.scale, scale)
-            assert clf.weights.shape == (labels.max() + 1, x.shape[1])
+            assert clf.weights.shape == (n_classes, x.shape[1])
             for c, row in enumerate(clf.weights):
                 y = np.where(labels == c, 1.0, -1.0)
                 rng = SeededRng(params.seed).child(f"class{c}")
                 assert np.array_equal(row, reference_pegasos(x, y, params, rng))
-
-    def test_standardized_jobs_equal_feature_jobs(self):
-        g = SeededRng(12).generator()
-        jobs = [self.job(g, 9, 3, order, 1e-3, 5) for order in ("C", "F")]
-        direct = train_classifiers(jobs)
-        prepared = train_classifiers([(standardize(f), y, p) for f, y, p in jobs])
-        for a, b in zip(direct, prepared):
-            assert np.array_equal(a.weights, b.weights)
-            assert np.array_equal(a.mean, b.mean) and np.array_equal(a.scale, b.scale)
+            alone = train_classifier(f, labels, params)
+            assert np.array_equal(clf.weights, alone.weights)
+            assert np.array_equal(clf.mean, alone.mean) and np.array_equal(clf.scale, alone.scale)
 
     @staticmethod
     def margin_on_the_edge(labels, seed):
