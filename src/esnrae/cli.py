@@ -5,12 +5,13 @@ fully resolved configuration before doing any work. Exit codes are a stable
 contract: 0 ok, 2 usage or data-format error (also running out of memory,
 or a file that cannot be read or written), 3 numerical error, 4 partial
 benchmark failure (report still written, invalid cells marked). Output
-directories are created before any fit.
+directories are created, and bench's report paths checked, before any fit.
 """
 
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import math
 import os
@@ -24,6 +25,7 @@ from .classifier import ClassifierParams, evaluate, train_classifier
 from .data import (
     Dataset,
     NoiseSpec,
+    _stem,
     inject_noise,
     make_synthetic,
     measured_snr,
@@ -48,6 +50,17 @@ def _require_file(path: str) -> str:
     if not os.path.isfile(path):
         raise FormatError(f"no such file: {path}")
     return path
+
+
+def _require_writable(out_dir: str, paths: tuple[str, ...]) -> None:
+    """Raise OSError now for report files that could not be written later."""
+    if not os.access(out_dir, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out_dir)
+    for path in paths:
+        if os.path.isdir(path):
+            raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
+        if os.path.exists(path) and not os.access(path, os.W_OK):
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
 
 
 def _features_as_dataset(features: np.ndarray, source: Dataset) -> Dataset:
@@ -160,10 +173,12 @@ def cmd_bench(args) -> int:
     _require_file(spec.test_path)
     _echo({"command": "bench", "spec_file": args.spec, **spec.echo()})
     os.makedirs(args.out_dir, exist_ok=True)
+    # The report is named after the dataset, as parse_ucr names it.
+    stem = os.path.join(args.out_dir, f"{spec.dataset_name or _stem(spec.train_path)}_report")
+    csv_path, md_path = stem + ".csv", stem + ".md"
+    _require_writable(args.out_dir, (csv_path, md_path))
 
     report = bench_mod.run_experiment(spec)
-    csv_path = os.path.join(args.out_dir, f"{report.dataset}_report.csv")
-    md_path = os.path.join(args.out_dir, f"{report.dataset}_report.md")
     bench_mod.emit_csv(report, csv_path, include_timings=not args.no_timings)
     bench_mod.emit_markdown(report, md_path)
     print(f"wrote {csv_path} and {md_path}")

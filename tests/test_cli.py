@@ -1,4 +1,5 @@
 import json
+import os
 import subprocess
 import sys
 import time
@@ -508,6 +509,42 @@ class TestOutputPaths:
         code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(taken)], capsys)
         assert code == 2
         self.assert_one_error_line(stderr, taken)
+
+    @pytest.mark.parametrize("suffix", ["csv", "md"])
+    @pytest.mark.parametrize("dataset_name", ["", "named"])
+    def test_bench_report_path_that_is_a_directory_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, dataset_name, suffix
+    ):
+        # Without a dataset_name the report is named after the train file.
+        self.no_fit(monkeypatch)
+        spec = TestBenchCommand().write_spec(tmp_path, synth_files, dataset_name=dataset_name)
+        out = tmp_path / "out"
+        taken = out / f"{dataset_name or 'synth'}_report.{suffix}"
+        taken.mkdir(parents=True)
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 2
+        self.assert_one_error_line(stderr, taken)
+
+    @pytest.mark.parametrize("denied", ["out-dir", "report-file"])
+    def test_bench_path_without_write_access_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, denied
+    ):
+        # Permission bits do not bind a superuser, so the denial is simulated.
+        self.no_fit(monkeypatch)
+        spec = TestBenchCommand().write_spec(tmp_path, synth_files)
+        out = tmp_path / "out"
+        out.mkdir()
+        locked = out
+        if denied == "report-file":
+            locked = out / "synth_report.csv"
+            locked.write_text("")
+        real_access = os.access
+        monkeypatch.setattr(
+            os, "access", lambda path, mode: str(path) != str(locked) and real_access(path, mode)
+        )
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 2
+        self.assert_one_error_line(stderr, locked)
 
 
 class TestSynthCommand:

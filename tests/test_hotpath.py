@@ -2,8 +2,9 @@
 
 Each shortcut (one spectral radius per distinct draw, a grid-scoped radius
 memo, no product with an all-zero recurrent matrix, one shape check per
-``run_collect``, the lockstep Pegasos loop) is pinned against the plain
-computation it replaces. The plain classifier computation is the
+``run_collect``, ``run_collect``'s layer-by-layer input products over row
+blocks, the lockstep Pegasos loop) is pinned against the plain computation
+it replaces. The plain classifier computation is the
 per-problem loop on the design of F-ordered features; the classifier
 depends on the feature values only, so C-ordered features give the same
 bits.
@@ -35,6 +36,7 @@ from esnrae.classifier import (
     train_classifier,
     train_classifiers,
 )
+from esnrae.reservoir import PRESETS, resolve_preset
 
 
 def config(n=16, k=6, beta=0.25, layers=1):
@@ -56,18 +58,61 @@ def stepped(weights, patterns, policy):
     return np.stack(columns, axis=1)
 
 
+# Pattern length K of each preset's dataset (BreastCancer: the 30 WDBC features).
+PRESET_LENGTHS = {
+    "ecg200": 96,
+    "breastcancer": 30,
+    "coffee": 286,
+    "oliveoil": 570,
+    "earthquakes": 512,
+    "meat": 448,
+    "ecgfivedays": 136,
+}
+
+
+class TestRowBlockedDrives:
+    """``run_collect`` computes each input product one row block at a time."""
+
+    def test_presets_have_lengths(self):
+        assert set(PRESET_LENGTHS) == set(PRESETS)
+
+    def test_row_block_is_a_multiple_of_four(self):
+        # OpenBLAS's gemv dots the rows in groups of 4; other block sizes
+        # (3, 6, 10) change the bits of some rows.
+        assert res_mod._ROW_BLOCK % 4 == 0
+
+    @pytest.mark.parametrize("matrix", ["input-map", "square"])
+    @pytest.mark.parametrize("preset", sorted(PRESET_LENGTHS))
+    def test_row_blocks_equal_whole_matrix_products(self, preset, matrix):
+        n, _ = resolve_preset(preset)
+        k = PRESET_LENGTHS[preset]
+        g = SeededRng(15).generator()
+        if matrix == "input-map":
+            mat = g.uniform(-1.0, 1.0, (n, k + 1))[:, 1:]  # strided, as w_in[:, 1:]
+        else:
+            mat = g.uniform(-1.0, 1.0, (n, n))
+        inputs = g.standard_normal((5, mat.shape[1]))
+        blocked = np.empty((5, n))
+        res_mod._fill_drives(mat, inputs, blocked)
+        whole = np.stack([mat @ u for u in inputs])
+        assert np.array_equal(blocked.view(np.int64), whole.view(np.int64))
+
+
 class TestRunCollectEqualsStep:
+    # One row block, two (150 = 128 + 22) and five (600) of them.
+    @pytest.mark.parametrize("n, k, beta", [(16, 6, 0.25), (150, 96, 0.1), (600, 512, 0.002)])
     @pytest.mark.parametrize("recurrent", [True, False])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("policy", ["carry", "reset"])
-    def test_columns_equal_chained_steps(self, recurrent, layers, policy):
+    def test_columns_equal_chained_steps(self, recurrent, layers, policy, n, k, beta):
         # Stepping every pattern from the zero state gives exactly the states
         # of the same draw without recurrence: the ELM variant's features.
-        cfg = config(layers=layers)
+        cfg = config(n=n, k=k, beta=beta, layers=layers)
         weights = init_weights(cfg, SeededRng(3), recurrent=recurrent)
         collected = weights if policy == "carry" else init_weights(cfg, SeededRng(3), recurrent=False)
         patterns = SeededRng(4).generator().standard_normal((9, cfg.input_dim))
-        assert np.array_equal(run_collect(collected, patterns), stepped(weights, patterns, policy))
+        got, want = run_collect(collected, patterns), stepped(weights, patterns, policy)
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
 
     def test_step_matches_the_dense_formula_with_zero_recurrence(self):
         weights = init_weights(config(layers=2), SeededRng(5), recurrent=False)
