@@ -51,7 +51,6 @@ from .errors import DegenerateMatrixError, FormatError, NumericalError, Training
 from .linalg import (
     SeededRng,
     pinv,
-    scale_to_spectral_radius,
     sparse_random_matrix,
     spectral_radius,
 )

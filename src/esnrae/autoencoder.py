@@ -12,7 +12,8 @@ solves the readout in closed form, ties the input weights to the transpose
 of that readout, and recomputes every layer's states under the new input map.
 The stored reconstruction error is that of a readout refit on the recomputed
 states. A draw that training cannot use is skipped (see :func:`fit`).
-The extracted features are the last layer's recomputed states.
+The extracted features are the last layer's recomputed states, one row per
+pattern (p x N), the orientation of the patterns themselves.
 """
 
 from __future__ import annotations
@@ -64,7 +65,7 @@ class TrainedAutoencoder:
     entry-exact. ``reconstruction_error`` is the residual of the readout
     refit on the recomputed states and describes the final network, while
     ``pre_tying_error`` is the chosen draw's error before tying. Each is
-    exactly ``0.0`` when its states have full column rank, where the readout
+    exactly ``0.0`` when its states have full row rank, where the readout
     interpolates every pattern. ``chosen_candidate`` is the index of the draw
     used, which is also the number of unusable draws skipped before it.
     """
@@ -80,36 +81,36 @@ class TrainedAutoencoder:
 def train_readout(h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
     """Closed-form least-squares readout W_out with y(n) = W_out x(n), and rank(H).
 
-    ``h`` holds one state column per pattern (N x p); ``targets`` one pattern
+    ``h`` holds one state row per pattern (p x N); ``targets`` one pattern
     per row (p x K) - for autoencoding, the input patterns themselves. Solved
-    as W_out = (pinv(H^T) U)^T, which interpolates exactly (least-norm) when
+    as W_out = (pinv(H) U)^T, which interpolates exactly (least-norm) when
     the rank, taken under :func:`~esnrae.linalg.pinv`'s cutoff, equals p.
     """
     hm = np.asarray(h, dtype=float)
     targets = np.asarray(targets, dtype=float)
     if hm.ndim != 2:
         raise ValueError(f"state matrix must be 2-D, got ndim={hm.ndim}")
-    if targets.ndim != 2 or targets.shape[0] != hm.shape[1]:
+    if targets.ndim != 2 or targets.shape[0] != hm.shape[0]:
         raise ValueError(
-            f"targets shape {targets.shape} does not match {hm.shape[1]} patterns"
+            f"targets shape {targets.shape} does not match {hm.shape[0]} patterns"
         )
     if not np.any(hm):
         raise NumericalError("state matrix is identically zero; readout is undefined")
-    h_pinv, h_rank = pinv(hm.T)
+    h_pinv, h_rank = pinv(hm)
     return (h_pinv @ targets).T, h_rank
 
 
 def reconstruction_error(w_out: np.ndarray, h: np.ndarray, targets: np.ndarray) -> float:
-    """Frobenius norm of the reconstruction residual, per pattern."""
+    """Frobenius norm of the reconstruction residual per pattern; ``h`` is p x N."""
     hm = np.asarray(h, dtype=float)
     targets = np.asarray(targets, dtype=float)
-    p = hm.shape[1]
-    if targets.shape[0] != p or w_out.shape != (targets.shape[1], hm.shape[0]):
+    p = hm.shape[0]
+    if targets.shape[0] != p or w_out.shape != (targets.shape[1], hm.shape[1]):
         raise ValueError(
             f"inconsistent shapes: w_out {w_out.shape}, states {hm.shape}, "
             f"targets {targets.shape}"
         )
-    return float(np.linalg.norm(w_out @ hm - targets.T, "fro") / p)
+    return float(np.linalg.norm(w_out @ hm.T - targets.T, "fro") / p)
 
 
 def _validate_kind(kind: str, cfg: ReservoirConfig) -> None:
@@ -134,8 +135,8 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> tuple[TrainedAutoenc
     first whose draw, states and readout raise no NumericalError; after
     :data:`MAX_DRAWS` unusable draws it raises TrainingError. Then ties the
     input weights to that readout's transpose and recomputes all layer states
-    in one pass; the last layer's states (N x p) are the train features.
-    A readout on states of full column rank p interpolates, so its error is
+    in one pass; the last layer's states (p x N) are the train features.
+    A readout on states of full row rank p interpolates, so its error is
     recorded as exactly 0.0 without a residual or, after tying, a refit.
     """
     _validate_kind(kind, spec.cfg)
@@ -167,7 +168,7 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> tuple[TrainedAutoenc
     tied = replace(wts, w_in=np.hstack((wts.w_in, w_out.T)))  # bias, then readout^T
     del wts, w_out
     h = run_collect(tied, targets)
-    full_rank = p <= len(h) and rank(h.T) == p
+    full_rank = p <= h.shape[1] and rank(h) == p
     final_err = 0.0 if full_rank else reconstruction_error(train_readout(h, targets)[0], h, targets)
 
     return TrainedAutoencoder(
@@ -181,7 +182,7 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> tuple[TrainedAutoenc
 
 
 def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
-    """New representation of a dataset: last-layer states, one column per pattern."""
+    """New representation of a dataset: last-layer states, one row per pattern."""
     return run_collect(t.weights, d.patterns)
 
 

@@ -52,6 +52,10 @@ from .data import Dataset, NoiseSpec, _read_lines, inject_noise, parse_ucr_pair
 from .errors import FormatError, NumericalError
 from .reservoir import ReservoirConfig, radius_memo
 
+# What fails one cell (or one run's classifiers) without ending the grid.
+# FormatError is a ValueError.
+_CELL_ERRORS = (ValueError, NumericalError, MemoryError)
+
 RAW_BASELINE = "raw"
 
 CSV_COLUMNS = (
@@ -249,7 +253,7 @@ def _failed(cell: CellResult, exc: Exception) -> CellResult:
 
 # A cell between encoding and classification: its result so far and, unless
 # encoding failed, its standardized training design and its test features
-# (one column per pattern).
+# (one row per pattern).
 _Encoded = tuple[CellResult, tuple[Standardized, np.ndarray] | None]
 
 
@@ -271,7 +275,7 @@ def _encode_cell(
     cell = CellResult(dataset=dataset, method=method, snr_db=level, run=run, seed=seed)
     try:
         if method == RAW_BASELINE:
-            return cell, (standardize(d_train.patterns.T), d_test.patterns.T)
+            return cell, (standardize(d_train.patterns), d_test.patterns)
         cfg = spec.reservoir_config(method, d_train.input_len)
         t0 = time.perf_counter()
         ae, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=seed), method)
@@ -280,7 +284,7 @@ def _encode_cell(
         f_test = encode(ae, d_test)
         design = standardize(f_train)
         encode_ms = (time.perf_counter() - t0) * 1e3
-    except (ValueError, NumericalError, FormatError, MemoryError) as exc:
+    except _CELL_ERRORS as exc:
         return _failed(cell, exc), None
     cell = replace(
         cell, recon_error=ae.reconstruction_error, fit_ms=fit_ms, encode_ms=encode_ms
@@ -309,7 +313,7 @@ def _classify(
     t0 = time.perf_counter()
     try:
         classifiers = train_classifiers([encoded[i][1][0] for i in ready], y_train, params)
-    except (ValueError, NumericalError, FormatError, MemoryError) as exc:
+    except _CELL_ERRORS as exc:
         for i in ready:
             done[i] = _failed(done[i], exc)
         return done
@@ -319,7 +323,7 @@ def _classify(
         t0 = time.perf_counter()
         try:
             result = evaluate(clf, f_test, y_test)
-        except (ValueError, NumericalError, FormatError, MemoryError) as exc:
+        except _CELL_ERRORS as exc:
             done[i] = _failed(done[i], exc)
             continue
         classify_ms = share_ms + (time.perf_counter() - t0) * 1e3

@@ -2,8 +2,8 @@
 
 One-vs-rest L2-regularized hinge loss, trained by deterministic epoch-based
 stochastic subgradient descent with averaged iterates (Pegasos-style step
-sizes plus the ball projection). Features arrive one column per pattern, the
-orientation the encoders emit; they are standardized internally with
+sizes plus the ball projection). Features arrive one row per pattern (p x F),
+the orientation the encoders emit; they are standardized internally with
 training statistics so the loss scale is comparable across datasets.
 :func:`train_classifiers` trains one such classifier per feature set of one
 training set side by side, each bit-identical to training it alone.
@@ -50,18 +50,16 @@ class LinearClassifier:
         return self.weights.shape[0]
 
     def scores(self, features: np.ndarray) -> np.ndarray:
-        """Class scores, one row per class, one column per pattern."""
+        """Class scores of (p x F) features, one row per pattern, one column per class."""
         features = np.asarray(features, dtype=float)
-        if features.shape[0] != self.mean.shape[0]:
-            raise ValueError(
-                f"feature dim {features.shape[0]} != trained dim {self.mean.shape[0]}"
-            )
-        z = (features - self.mean[:, None]) / self.scale[:, None]
-        return self.weights[:, :-1] @ z + self.weights[:, -1:]
+        if features.ndim != 2 or features.shape[1] != self.mean.shape[0]:
+            raise ValueError(f"feature shape {features.shape} != (p, {self.mean.shape[0]})")
+        z = (features - self.mean) / self.scale
+        return z @ self.weights[:, :-1].T + self.weights[:, -1]
 
     def predict(self, features: np.ndarray) -> np.ndarray:
         """Predicted class ids; ties break to the lowest class id."""
-        return np.argmax(self.scores(features), axis=0)
+        return np.argmax(self.scores(features), axis=1)
 
 
 @dataclass(frozen=True)
@@ -85,7 +83,8 @@ class Standardized:
     ``x`` is the (p, F+1) design, C-ordered: each feature standardized with
     the training ``mean`` and ``scale``, one row per pattern, a bias column of
     ones appended. It depends on the feature values only, not on the memory
-    order they arrive in.
+    order they arrive in: the statistics are always taken on the design's
+    own columns.
     """
 
     x: np.ndarray
@@ -94,23 +93,25 @@ class Standardized:
 
 
 def standardize(features: np.ndarray) -> Standardized:
-    """Standardize (F x p) training features into the classifier's design.
+    """Standardize (p x F) training features into the classifier's design.
 
-    A reduction's summation order follows the memory order, so the
-    statistics are taken on an F-ordered copy of the features, whatever their
-    layout; the copy is then centred and scaled in place.
+    A reduction's summation order follows the memory order, so the features
+    are first copied into the design, whatever their layout, and the
+    statistics are taken on its columns, which are then centred and scaled
+    in place.
     """
-    z = np.array(features, dtype=float, order="F")
-    if z.ndim != 2:
-        raise ValueError(f"features must be 2-D, got ndim={z.ndim}")
-    mean = z.mean(axis=1)
-    std = z.std(axis=1)
-    scale = np.where(std == 0.0, 1.0, std)
-    z -= mean[:, None]
-    z /= scale[:, None]
-    x = np.empty((z.shape[1], z.shape[0] + 1))  # (p, F+1), bias appended
-    x[:, :-1] = z.T
+    features = np.asarray(features, dtype=float)
+    if features.ndim != 2:
+        raise ValueError(f"features must be 2-D, got ndim={features.ndim}")
+    x = np.empty((features.shape[0], features.shape[1] + 1))  # (p, F+1), bias appended
+    z = x[:, :-1]
+    z[...] = features
     x[:, -1] = 1.0
+    mean = z.mean(axis=0)
+    std = z.std(axis=0)
+    scale = np.where(std == 0.0, 1.0, std)
+    z -= mean
+    z /= scale
     return Standardized(x=x, mean=mean, scale=scale)
 
 
@@ -234,7 +235,7 @@ def train_classifiers(
     for design in designs:
         p = design.x.shape[0]
         if labels.shape != (p,):
-            raise ValueError(f"label count {labels.shape} != feature column count {p}")
+            raise ValueError(f"label count {labels.shape} != feature row count {p}")
     n_classes = int(labels.max()) + 1 if labels.size else 0
     if n_classes < 2 or len(np.unique(labels)) < 2:
         raise ValueError("classification needs at least 2 classes present")
@@ -251,7 +252,7 @@ def train_classifier(
     labels: np.ndarray,
     params: ClassifierParams = ClassifierParams(),
 ) -> LinearClassifier:
-    """Fit one-vs-rest hinge-loss hyperplanes on (F x p) features.
+    """Fit one-vs-rest hinge-loss hyperplanes on (p x F) features.
 
     Features are standardized with their training mean and deviation (see
     :func:`standardize`); class c trains a +/-1 problem on the stream

@@ -64,10 +64,10 @@ def _require_writable(out_dir: str, paths: tuple[str, ...]) -> None:
 
 
 def _features_as_dataset(features: np.ndarray, source: Dataset) -> Dataset:
-    """Wrap an N x p feature matrix as a dataset so it round-trips as text."""
+    """Wrap a p x N feature matrix as a dataset so it round-trips as text."""
     return Dataset(
         name=source.name,
-        patterns=features.T,
+        patterns=features,
         labels=source.labels,
         label_names=source.label_names,
         split=source.split,
@@ -148,8 +148,8 @@ def cmd_classify(args) -> int:
     )
     d_train, d_test = parse_ucr_pair(_require_file(args.train), _require_file(args.test))
     params = ClassifierParams(reg_lambda=args.reg_lambda, epochs=args.epochs, seed=args.seed)
-    clf = train_classifier(d_train.patterns.T, d_train.labels, params)
-    result = evaluate(clf, d_test.patterns.T, d_test.labels)
+    clf = train_classifier(d_train.patterns, d_train.labels, params)
+    result = evaluate(clf, d_test.patterns, d_test.labels)
     print(f"error rate: {result.error_rate:.4f} "
           f"({result.misclassified}/{result.total} misclassified)")
     print("confusion (rows = truth):")

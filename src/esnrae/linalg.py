@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, NumericalError
+from .errors import NumericalError
 
 _MASK64 = (1 << 64) - 1
 
@@ -127,18 +127,3 @@ def spectral_radius(w: np.ndarray) -> float:
         ) from exc
     return float(np.max(np.abs(eigvals)))
 
-
-def scale_to_spectral_radius(w: np.ndarray, target: float) -> np.ndarray:
-    """Rescale ``w`` so its spectral radius equals ``target``.
-
-    Raises DegenerateMatrixError for nilpotent/zero matrices, whose radius
-    cannot be scaled up from zero.
-    """
-    if target <= 0:
-        raise ValueError(f"target spectral radius must be positive, got {target}")
-    current = spectral_radius(w)
-    if current == 0.0:
-        raise DegenerateMatrixError(
-            "matrix has zero spectral radius and cannot be rescaled"
-        )
-    return w * (target / current)

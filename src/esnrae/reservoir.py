@@ -15,7 +15,9 @@ into ``w_in[:, 1:]`` exactly.
 feeds a whole split layer by layer instead: a pattern's input product does
 not depend on the state, so it computes every pattern's product one
 cache-sized row block at a time and only then steps the recurrence, with
-the same products and sums as ``step``.
+the same products and sums as ``step``. Its input (p x K) and its result
+(p x N) both hold one row per pattern, the orientation of every feature
+matrix in the package.
 """
 
 from __future__ import annotations
@@ -196,7 +198,6 @@ def init_weights(
             candidate = sparse_random_matrix(n, n, cfg.connectivity, -1.0, 1.0, stream)
             rho = _draw_radius(candidate, stream, cfg.connectivity)
             if rho > 0.0:
-                # In place, the same product as linalg.scale_to_spectral_radius.
                 candidate *= cfg.spectral_radius_target / rho
                 w.append(candidate)
                 break
@@ -273,9 +274,9 @@ def _fill_drives(mat: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> None:
 def run_collect(weights: EsnWeights, patterns: np.ndarray) -> np.ndarray:
     """Feed every pattern (one row each) and return the last layer's states.
 
-    The result is the N x p feature matrix, one column per pattern, in C
+    The result is the p x N feature matrix, one row per pattern, in C
     order. The state starts at zero and flows from one pattern to the next,
-    so column n depends on all patterns up to n. (Zeroing it before each
+    so row n depends on all patterns up to n. (Zeroing it before each
     pattern instead would drop the recurrent term and give exactly the
     features of the same draw without recurrence, the ELM variant.)
 
@@ -285,7 +286,8 @@ def run_collect(weights: EsnWeights, patterns: np.ndarray) -> np.ndarray:
     the patterns in order, and a layer without recurrence takes its bias
     and ``tanh`` over the whole buffer at once. Each pattern gets the same
     products and sums, in the same order, as in :func:`step`, so the
-    columns equal the last layer of a chain of ``step`` calls bit for bit.
+    rows equal the last layer of a chain of ``step`` calls bit for bit. The
+    last layer's buffer is the result.
     """
     patterns = np.asarray(patterns, dtype=float)
     if patterns.ndim != 2 or patterns.shape[1] != weights.input_dim:
@@ -315,7 +317,7 @@ def run_collect(weights: EsnWeights, patterns: np.ndarray) -> np.ndarray:
             drive += weights.b_e[i]
             np.tanh(drive, out=drive)
         states = drive
-    return np.ascontiguousarray(states.T)
+    return states
 
 
 # ---------------------------------------------------------------------------
@@ -337,7 +339,7 @@ _MAGIC_V1 = b"ESNWGT\x00\x01"
 
 
 def _write_block(fh: BinaryIO, a: np.ndarray) -> None:
-    """Write a float64 block; the encoder envelope stores its matrices this way too."""
+    """Write one float64 block of the weight container."""
     a2 = np.ascontiguousarray(np.atleast_2d(np.asarray(a, dtype="<f8")))
     fh.write(struct.pack("<II", a2.shape[0], a2.shape[1]))
     fh.write(a2.tobytes())

@@ -32,7 +32,6 @@ from esnrae import (
     ratio_table,
     run_collect,
     run_experiment,
-    scale_to_spectral_radius,
     sparse_random_matrix,
     spectral_radius,
     step,
@@ -145,7 +144,8 @@ class TestCriterion1PropertySuite:
             m = sparse_random_matrix(size, size, 0.2, -1.0, 1.0, SeededRng(seed).child("w"))
             if spectral_radius(m) == 0.0:
                 continue
-            worst = max(worst, abs(spectral_radius(scale_to_spectral_radius(m, 0.9)) - 0.9))
+            scaled = m * (0.9 / spectral_radius(m))  # init_weights' product
+            worst = max(worst, abs(spectral_radius(scaled) - 0.9))
         if worst >= 1e-6:
             failures.append(f"scaling error {worst:.2e}")
 
@@ -384,7 +384,7 @@ class TestCriterion7FeatureRangeAndSparsity:
                 connectivity=preset["connectivity"],
             )
             t, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
-            features = np.hstack([f_train, encode(t, d_test)])
+            features = np.vstack([f_train, encode(t, d_test)])
             in_range = np.abs(features).max() < 1.0
             near_zero = float(np.mean(np.abs(features) < 0.05))
             details.append(f"{name}: near-zero {near_zero:.3f}")
@@ -428,7 +428,7 @@ class TestPublishedShapes:
         )
         t, _ = fit(normalize(train, train), RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
         features = encode(t, normalize(test, train))
-        assert features.shape == (100, 861)
+        assert features.shape == (861, 100)
 
     def test_coffee_shapes(self):
         found = find_ucr("Coffee")

@@ -59,7 +59,7 @@ class TestTrainReadout:
         # Fewer patterns than hidden units: least-norm solution reproduces
         # the targets (the 28-pattern / 100-unit regime).
         g = SeededRng(1).child("h").generator()
-        h = np.tanh(g.standard_normal((100, 28)))
+        h = np.tanh(g.standard_normal((28, 100)))
         targets = g.standard_normal((28, 286))
         w, rank = train_readout(h, targets)
         assert rank == 28
@@ -67,20 +67,20 @@ class TestTrainReadout:
 
     def test_overdetermined_matches_normal_equations_oracle(self):
         g = SeededRng(2).child("h").generator()
-        h = g.standard_normal((10, 50))
+        h = g.standard_normal((50, 10))
         targets = g.standard_normal((50, 7))
         w, rank = train_readout(h, targets)
         assert rank == 10
         # Independent route: solve the normal equations directly.
-        w_oracle = np.linalg.solve(h @ h.T, h @ targets).T
-        r_ours = np.linalg.norm(w @ h - targets.T)
-        r_oracle = np.linalg.norm(w_oracle @ h - targets.T)
+        w_oracle = np.linalg.solve(h.T @ h, h.T @ targets).T
+        r_ours = np.linalg.norm(h @ w.T - targets)
+        r_oracle = np.linalg.norm(h @ w_oracle.T - targets)
         assert abs(r_ours - r_oracle) < 1e-8
 
     def test_optimality_probe(self):
         # No small perturbation of the returned readout improves the fit.
         g = SeededRng(3).child("h").generator()
-        h = g.standard_normal((12, 30))
+        h = g.standard_normal((30, 12))
         targets = g.standard_normal((30, 5))
         w, _ = train_readout(h, targets)
         base = reconstruction_error(w, h, targets)
@@ -91,7 +91,7 @@ class TestTrainReadout:
 
     def test_zero_states_rejected(self):
         with pytest.raises(NumericalError):
-            train_readout(np.zeros((5, 4)), np.ones((4, 3)))
+            train_readout(np.zeros((4, 5)), np.ones((4, 3)))
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
@@ -106,14 +106,14 @@ class TestReconstructionError:
     def test_zero_readout_closed_form(self):
         g = SeededRng(4).child("t").generator()
         targets = g.standard_normal((6, 9))
-        h = g.standard_normal((5, 6))
+        h = g.standard_normal((6, 5))
         expected = np.linalg.norm(targets, "fro") / 6
         got = reconstruction_error(np.zeros((9, 5)), h, targets)
         assert got == pytest.approx(expected, rel=1e-12)
 
     def test_trained_readout_beats_100_random_readouts(self):
         g = SeededRng(5).child("t").generator()
-        h = np.tanh(g.standard_normal((15, 40)))
+        h = np.tanh(g.standard_normal((40, 15)))
         targets = g.standard_normal((40, 8))
         trained = reconstruction_error(train_readout(h, targets)[0], h, targets)
         for i in range(100):
@@ -154,7 +154,7 @@ class TestFit:
         d = random_dataset(p=100, k=96, seed=12)
         spec = train_spec(n=150, k=96, beta=0.1, seed=13)
         _, features = fit(d, spec, "esn-rae")
-        assert features.shape == (150, 100)
+        assert features.shape == (100, 150)
         assert np.abs(features).max() < 1.0
 
     def test_ml_kind_requires_multiple_layers(self):
@@ -170,7 +170,7 @@ class TestFit:
 
     def test_all_degenerate_candidates_raise_training_error(self, monkeypatch):
         def zero_states(weights, patterns):
-            return np.zeros((weights.n_hidden, patterns.shape[0]))
+            return np.zeros((patterns.shape[0], weights.n_hidden))
 
         monkeypatch.setattr(ae_mod, "run_collect", zero_states)
         with pytest.raises(TrainingError, match=f"all {ae_mod.MAX_DRAWS} network draws"):
@@ -192,7 +192,7 @@ def counting_run_collect(monkeypatch, degenerate_calls=()):
     def counted(weights, patterns):
         calls.append(len(calls))
         if len(calls) - 1 in degenerate_calls:
-            return np.zeros((weights.n_hidden, patterns.shape[0]))
+            return np.zeros((patterns.shape[0], weights.n_hidden))
         return real(weights, patterns)
 
     monkeypatch.setattr(ae_mod, "run_collect", counted)
@@ -299,7 +299,7 @@ def old_errors(t, d):
     errors = []
     for weights in (draw, t.weights):
         h = ae_mod.run_collect(weights, d.patterns)
-        h_pinv = np.linalg.pinv(h.T, rcond=1e-12 * max(h.shape))
+        h_pinv = np.linalg.pinv(h, rcond=1e-12 * max(h.shape))
         errors.append(reconstruction_error((h_pinv @ d.patterns).T, h, d.patterns))
     return tuple(errors)
 
@@ -329,7 +329,7 @@ class TestOneSolve:
         assert t.reconstruction_error > 0.1
 
     def test_rank_deficient_fit_refits(self, monkeypatch):
-        # Duplicated rows give duplicated feed-forward state columns, so the
+        # Duplicated rows give duplicated feed-forward state rows, so the
         # states have rank 10 < p = 20 < N = 40.
         base = random_dataset(p=10, k=12, seed=63)
         d = Dataset(
@@ -349,7 +349,7 @@ class TestOneSolve:
 
 class TestElmStructure:
     def test_feed_forward_ignores_pattern_order(self):
-        # Shuffling the patterns permutes the feature columns identically.
+        # Shuffling the patterns permutes the feature rows identically.
         d = random_dataset(p=30, k=10, seed=16)
         t, _ = fit(d, train_spec(n=20, k=10, seed=17), "elm-ae")
         g = SeededRng(18).child("perm").generator()
@@ -361,9 +361,9 @@ class TestElmStructure:
             label_names=d.label_names,
             split=d.split,
         )
-        assert np.array_equal(encode(t, shuffled), encode(t, d)[:, perm])
+        assert np.array_equal(encode(t, shuffled), encode(t, d)[perm])
 
-    def test_single_pattern_equals_batch_column(self):
+    def test_single_pattern_equals_batch_row(self):
         d = random_dataset(p=12, k=10, seed=19)
         t, _ = fit(d, train_spec(n=20, k=10, seed=20), "elm-ae")
         full = encode(t, d)
@@ -375,7 +375,7 @@ class TestElmStructure:
                 label_names=d.label_names,
                 split=d.split,
             )
-            assert np.array_equal(encode(t, one)[:, 0], full[:, j])
+            assert np.array_equal(encode(t, one)[0], full[j])
 
     def test_recurrent_matrices_unused(self):
         d = random_dataset(seed=21)
@@ -394,7 +394,7 @@ class TestElmStructure:
             label_names=d.label_names,
             split=d.split,
         )
-        assert np.array_equal(encode(t, shuffled), encode(t, d)[:, perm])
+        assert np.array_equal(encode(t, shuffled), encode(t, d)[perm])
 
 
 class TestEncode:
@@ -405,7 +405,7 @@ class TestEncode:
             assert np.array_equal(encode(t, d), features)
 
     def test_carry_mode_is_causal(self):
-        # Column j must not depend on later patterns.
+        # Row j must not depend on later patterns.
         d = random_dataset(p=25, k=10, seed=28)
         t, _ = fit(d, train_spec(n=20, k=10, seed=29), "esn-rae")
         full = encode(t, d)
@@ -421,8 +421,8 @@ class TestEncode:
             split=d.split,
         )
         got = encode(t, altered)
-        assert np.array_equal(got[:, :cut], full[:, :cut])
-        assert not np.array_equal(got[:, cut:], full[:, cut:])
+        assert np.array_equal(got[:cut], full[:cut])
+        assert not np.array_equal(got[cut:], full[cut:])
 
     @pytest.mark.xfail(
         strict=False,

@@ -7,14 +7,14 @@ from esnrae import ClassifierParams, SeededRng, evaluate, train_classifier
 
 
 def blobs(centers, per_class, spread, seed):
-    """Gaussian clusters, features one column per pattern."""
+    """Gaussian clusters, features one row per pattern."""
     g = SeededRng(seed).child("blobs").generator()
-    cols, labels = [], []
+    rows, labels = [], []
     for c, center in enumerate(centers):
-        pts = g.standard_normal((len(center), per_class)) * spread
-        cols.append(pts + np.asarray(center)[:, None])
+        pts = g.standard_normal((per_class, len(center))) * spread
+        rows.append(pts + np.asarray(center))
         labels.extend([c] * per_class)
-    return np.hstack(cols), np.array(labels)
+    return np.vstack(rows), np.array(labels)
 
 
 class TestTrainClassifier:
@@ -30,9 +30,9 @@ class TestTrainClassifier:
 
     def test_shuffled_labels_give_chance_level(self):
         g = SeededRng(2).child("x").generator()
-        x_train = g.standard_normal((2, 1000))
+        x_train = g.standard_normal((1000, 2))
         y_train = g.permutation(np.arange(1000) % 2)
-        x_test = g.standard_normal((2, 1000))
+        x_test = g.standard_normal((1000, 2))
         y_test = g.permutation(np.arange(1000) % 2)
         clf = train_classifier(x_train, y_train)
         er = evaluate(clf, x_test, y_test).error_rate
@@ -50,13 +50,13 @@ class TestTrainClassifier:
         assert evaluate(clf, x, y).error_rate >= 0.25
 
     def test_single_class_rejected(self):
-        x = np.zeros((3, 10))
+        x = np.zeros((10, 3))
         with pytest.raises(ValueError):
             train_classifier(x, np.zeros(10, dtype=int))
 
     def test_label_count_mismatch(self):
         with pytest.raises(ValueError):
-            train_classifier(np.zeros((3, 10)), np.zeros(9, dtype=int))
+            train_classifier(np.zeros((10, 3)), np.zeros(9, dtype=int))
 
     def test_deterministic(self):
         x, y = blobs([(-1.0, 0.0), (1.0, 0.0)], per_class=30, spread=1.0, seed=4)
@@ -66,7 +66,7 @@ class TestTrainClassifier:
 
     def test_constant_feature_does_not_break_standardization(self):
         x, y = blobs([(-3.0,), (3.0,)], per_class=15, spread=0.3, seed=5)
-        x = np.vstack([x, np.full(x.shape[1], 7.0)])  # zero-variance row
+        x = np.hstack([x, np.full((x.shape[0], 1), 7.0)])  # zero-variance column
         clf = train_classifier(x, y)
         assert evaluate(clf, x, y).error_rate == 0.0
 
@@ -107,7 +107,7 @@ class TestEvaluate:
             def predict(self, features):
                 return pred
 
-        res = evaluate(Stub(), np.zeros((1, len(pairs))), truth)
+        res = evaluate(Stub(), np.zeros((len(pairs), 1)), truth)
         oracle = sum(1 for p, t in pairs if p != t) / len(pairs)
         assert res.error_rate == oracle
         assert res.misclassified == sum(1 for p, t in pairs if p != t)
@@ -116,7 +116,7 @@ class TestEvaluate:
         x, y = blobs([(-3.0, 0.0), (3.0, 0.0)], per_class=5, spread=0.2, seed=6)
         clf = train_classifier(x, y)
         with pytest.raises(ValueError, match="no patterns"):
-            evaluate(clf, np.zeros((2, 0)), np.zeros(0, dtype=int))
+            evaluate(clf, np.zeros((0, 2)), np.zeros(0, dtype=int))
 
     @pytest.mark.parametrize("bad", [-1, 2])
     def test_label_outside_the_classes_rejected(self, bad):
@@ -126,6 +126,13 @@ class TestEvaluate:
         labels[3] = bad
         with pytest.raises(ValueError, match=f"label {bad} out of range"):
             evaluate(clf, x, labels)
+
+    @pytest.mark.parametrize("shape", [(5, 3), (2,)])
+    def test_features_not_p_by_trained_width_rejected(self, shape):
+        x, y = blobs([(-3.0, 0.0), (3.0, 0.0)], per_class=5, spread=0.2, seed=6)
+        clf = train_classifier(x, y)
+        with pytest.raises(ValueError, match="feature shape"):
+            clf.predict(np.zeros(shape))
 
     def test_confusion_row_sums_and_offdiagonal(self):
         x, y = blobs([(-2.0, 0.0), (2.0, 0.0), (0.0, 3.0)], per_class=12, spread=1.5, seed=8)
@@ -147,7 +154,7 @@ class TestEvaluate:
         clf = train_classifier(x, y)
         base = evaluate(clf, x, y).error_rate
         perm = SeededRng(11).child("p").generator().permutation(80)
-        assert evaluate(clf, x[:, perm], y[perm]).error_rate == base
+        assert evaluate(clf, x[perm], y[perm]).error_rate == base
 
     def test_argmax_invariant_to_positive_row_scaling(self):
         from dataclasses import replace
@@ -166,4 +173,4 @@ class TestEvaluate:
             scale=np.ones(2),
             params=ClassifierParams(),
         )
-        assert np.array_equal(clf.predict(np.ones((2, 5))), np.zeros(5, dtype=int))
+        assert np.array_equal(clf.predict(np.ones((5, 2))), np.zeros(5, dtype=int))

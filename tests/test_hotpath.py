@@ -5,9 +5,9 @@ memo, no product with an all-zero recurrent matrix, one shape check per
 ``run_collect``, ``run_collect``'s layer-by-layer input products over row
 blocks, the lockstep Pegasos loop) is pinned against the plain computation
 it replaces. The plain classifier computation is the
-per-problem loop on the design of F-ordered features; the classifier
-depends on the feature values only, so C-ordered features give the same
-bits.
+per-problem loop on the design of C-ordered (p x F) features; the
+classifier depends on the feature values only, so F-ordered features give
+the same bits.
 """
 
 import numpy as np
@@ -24,8 +24,8 @@ from esnrae import (
     parse_ucr_pair,
     run_collect,
     run_experiment,
-    scale_to_spectral_radius,
     sparse_random_matrix,
+    spectral_radius,
     step,
 )
 from esnrae.autoencoder import RaeTrainSpec, fit
@@ -44,18 +44,18 @@ def config(n=16, k=6, beta=0.25, layers=1):
 
 
 def stepped(weights, patterns, policy):
-    """Column j of the last layer by chaining public ``step`` calls.
+    """Row j of the last layer by chaining public ``step`` calls.
 
     Under ``"reset"`` each pattern starts from the zero state instead.
     """
     n, m = weights.n_hidden, weights.n_layers
     zero = [np.zeros(n) for _ in range(m)]
     state = zero
-    columns = []
+    rows = []
     for u in patterns:
         state = step(weights, zero if policy == "reset" else state, u)
-        columns.append(state[-1])
-    return np.stack(columns, axis=1)
+        rows.append(state[-1])
+    return np.stack(rows)
 
 
 # Pattern length K of each preset's dataset (BreastCancer: the 30 WDBC features).
@@ -104,7 +104,7 @@ class TestRunCollectEqualsStep:
     @pytest.mark.parametrize("recurrent", [True, False])
     @pytest.mark.parametrize("layers", [1, 2])
     @pytest.mark.parametrize("policy", ["carry", "reset"])
-    def test_columns_equal_chained_steps(self, recurrent, layers, policy, n, k, beta):
+    def test_rows_equal_chained_steps(self, recurrent, layers, policy, n, k, beta):
         # Stepping every pattern from the zero state gives exactly the states
         # of the same draw without recurrence: the ELM variant's features.
         cfg = config(n=n, k=k, beta=beta, layers=layers)
@@ -128,7 +128,7 @@ class TestRunCollectEqualsStep:
 
 
 class TestFeatureLayout:
-    """Encoders emit C-ordered features; ``esnrae classify`` reads them F-ordered."""
+    """Encoders emit C-ordered p x N features, the layout of the patterns."""
 
     @pytest.mark.parametrize("recurrent", [True, False])
     @pytest.mark.parametrize("layers", [1, 2])
@@ -137,7 +137,7 @@ class TestFeatureLayout:
         weights = init_weights(cfg, SeededRng(7), recurrent=recurrent)
         patterns = SeededRng(8).generator().standard_normal((9, cfg.input_dim))
         h = run_collect(weights, patterns)
-        assert h.shape == (cfg.n_hidden, 9)
+        assert h.shape == (9, cfg.n_hidden)
         assert h.dtype == np.float64
         assert h.flags.c_contiguous
 
@@ -153,11 +153,11 @@ class TestRadiusMemo:
             for a, b in zip(w.w, outside.w):
                 assert np.array_equal(a, b)
 
-    def test_single_radius_equals_scale_to_spectral_radius(self):
+    def test_single_radius_equals_one_scaling_of_the_draw(self):
         cfg = config(n=25)
         rng = SeededRng(8)
         raw = sparse_random_matrix(25, 25, cfg.connectivity, -1.0, 1.0, rng.child("w1"))
-        expected = scale_to_spectral_radius(raw, cfg.spectral_radius_target)
+        expected = raw * (cfg.spectral_radius_target / spectral_radius(raw))
         assert np.array_equal(init_weights(cfg, rng).w[0], expected)
 
 
@@ -286,13 +286,14 @@ class TestPegasos:
 
 
 def reference_design(features):
-    """The classifier's standardized design as first written, on F-ordered features."""
-    features = np.asfortranarray(features)
-    mean = features.mean(axis=1)
-    std = features.std(axis=1)
+    """The classifier's standardized design as first written, on a C-ordered
+    copy of the (p x F) features."""
+    features = np.ascontiguousarray(features)
+    mean = features.mean(axis=0)
+    std = features.std(axis=0)
     scale = np.where(std == 0.0, 1.0, std)
-    z = (features - mean[:, None]) / scale[:, None]
-    return np.hstack([z.T, np.ones((z.shape[1], 1))]), mean, scale
+    z = (features - mean) / scale
+    return np.hstack([z, np.ones((z.shape[0], 1))]), mean, scale
 
 
 class TestLockstepPegasos:
@@ -308,7 +309,7 @@ class TestLockstepPegasos:
         # Interleaved widths, in no sorted order, in both memory orders.
         features = []
         for width, order in [(12, "C"), (7, "F"), (48, "C"), (7, "C"), (12, "F")]:
-            f = g.standard_normal((width, len(labels))) + labels
+            f = g.standard_normal((len(labels), width)) + labels[:, None]
             features.append(np.asfortranarray(f) if order == "F" else np.ascontiguousarray(f))
         classifiers = train_classifiers([standardize(f) for f in features], labels, params)
         assert len(classifiers) == len(features)
@@ -341,7 +342,7 @@ class TestLockstepPegasos:
         first, second = SeededRng(0).child("class0").generator().permutation(len(labels))[:2]
         g = SeededRng(seed).generator()
         for _ in range(400):
-            features = g.standard_normal((39, len(labels)))
+            features = g.standard_normal((len(labels), 39))
             x = standardize(features).x
             # The projected first step is y1 * x1 scaled to length 1/sqrt(lam),
             # which puts the second margin at along / sqrt(lam).

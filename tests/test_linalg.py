@@ -5,10 +5,8 @@ import numpy as np
 import pytest
 
 from esnrae import (
-    DegenerateMatrixError,
     SeededRng,
     pinv,
-    scale_to_spectral_radius,
     sparse_random_matrix,
     spectral_radius,
 )
@@ -138,9 +136,9 @@ class TestPinv:
 
     @pytest.mark.parametrize("shape", [(100, 150), (322, 600), (23, 100), (60, 32)])
     def test_equals_numpy_pinv_bit_for_bit(self, shape):
-        # Transposed tanh states, as train_readout passes them: p x N, F-ordered.
+        # tanh states as train_readout passes them: p x N, C-ordered.
         g = SeededRng(17).child("states").generator()
-        m = np.tanh(g.standard_normal(shape[::-1])).T
+        m = np.tanh(g.standard_normal(shape))
         got, full = pinv(m)
         assert np.array_equal(got, np.linalg.pinv(m, rcond=1e-12 * max(shape)))
         assert full == rank(m) == min(shape)
@@ -175,31 +173,12 @@ class TestSpectralRadius:
         with pytest.raises(ValueError):
             spectral_radius(np.ones((3, 4)))
 
-
-class TestScaleToSpectralRadius:
-    def test_diagonal_scaling(self):
-        got = scale_to_spectral_radius(np.diag([2.0, 1.0]), 0.9)
-        assert np.allclose(np.diag(got), [0.9, 0.45], atol=1e-12)
-
-    def test_identity_scaling_when_already_at_target(self):
-        m = np.diag([0.5, 0.25])
-        got = scale_to_spectral_radius(m, 0.5)
-        assert np.abs(got - m).max() < 1e-12
-
     def test_roundtrip_on_100_random_sparse(self):
+        # init_weights' scaling of a sparse draw reaches the target radius.
         for seed in range(100):
             size = 10 + (seed % 40)
             m = sparse_random_matrix(size, size, 0.2, -1.0, 1.0, SeededRng(seed).child("w"))
             if spectral_radius(m) == 0.0:
                 continue
-            scaled = scale_to_spectral_radius(m, 0.9)
+            scaled = m * (0.9 / spectral_radius(m))
             assert abs(spectral_radius(scaled) - 0.9) < 1e-6
-
-    def test_zero_radius_rejected(self):
-        nilpotent = np.array([[0.0, 1.0], [0.0, 0.0]])
-        with pytest.raises(DegenerateMatrixError):
-            scale_to_spectral_radius(nilpotent, 0.9)
-
-    def test_invalid_target_rejected(self):
-        with pytest.raises(ValueError):
-            scale_to_spectral_radius(np.eye(2), 0.0)

@@ -14,7 +14,8 @@ from conftest import traced_peak
 from esnrae import Dataset, parse_ucr, write_ucr
 from esnrae.autoencoder import KINDS, RaeTrainSpec, fit, is_multilayer
 from esnrae.classifier import standardize
-from esnrae.reservoir import ReservoirConfig, resolve_preset
+from esnrae.linalg import SeededRng
+from esnrae.reservoir import ReservoirConfig, init_weights, resolve_preset, run_collect
 
 P, K = 322, 512
 
@@ -51,13 +52,27 @@ def test_fit_holds_at_most_two_state_matrices_beyond_its_result(earthquakes_trai
     (_, features), peak, kept = traced_peak(
         fit, earthquakes_train, RaeTrainSpec(cfg=cfg, seed=1), kind
     )
-    assert features.shape == (n_hidden, P)
+    assert features.shape == (P, n_hidden)
     assert peak - kept <= 2 * features.nbytes
+
+
+@pytest.mark.parametrize("recurrent", [True, False])
+@pytest.mark.parametrize("layers", [1, 2])
+def test_run_collect_holds_one_drive_buffer_per_live_layer(earthquakes_train, layers, recurrent):
+    # The result is the last layer's drive buffer itself, not a copy of it;
+    # while a layer's buffer fills, the previous layer's is still held.
+    n_hidden, connectivity = resolve_preset("earthquakes")
+    cfg = ReservoirConfig(n_hidden=n_hidden, input_dim=K, connectivity=connectivity,
+                          n_layers=layers)
+    weights = init_weights(cfg, SeededRng(1), recurrent=recurrent)
+    states, peak, _ = traced_peak(run_collect, weights, earthquakes_train.patterns)
+    assert states.shape == (P, n_hidden)
+    assert peak <= (layers + 0.1) * states.nbytes
 
 
 @pytest.mark.parametrize("order", ["C", "F"])
 def test_standardize_holds_at_most_two_designs(order):
-    features = np.asarray(np.random.default_rng(3).standard_normal((600, P)), order=order)
+    features = np.asarray(np.random.default_rng(3).standard_normal((P, 600)), order=order)
     s, peak, _ = traced_peak(standardize, features)
     assert s.x.flags.c_contiguous
     assert peak <= 2.1 * s.x.nbytes

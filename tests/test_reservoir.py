@@ -136,21 +136,21 @@ class TestRunCollect:
         u = SeededRng(10).child("u").generator().uniform(-1, 1, 8)
         h = run_collect(w, u[None, :])
         expected = step(w, [np.zeros(20)], u)[0]
-        assert np.array_equal(h[:, 0], expected)
+        assert np.array_equal(h[0], expected)
 
-    def test_carry_vs_reset_differ_in_second_column(self):
+    def test_carry_vs_reset_differ_in_second_row(self):
         # The state carried from the first pattern, against a reset to zero.
         w = init_weights(config(), SeededRng(11))
         x = SeededRng(12).child("x").generator().uniform(-1, 1, (2, 8))
         carry = run_collect(w, x)
         reset = [step(w, [np.zeros(20)], u)[0] for u in x]
-        assert np.array_equal(carry[:, 0], reset[0])
-        assert not np.array_equal(carry[:, 1], reset[1])
+        assert np.array_equal(carry[0], reset[0])
+        assert not np.array_equal(carry[1], reset[1])
 
     def test_trace_shape_matches_pattern_count(self):
         w = init_weights(config(n=150, k=96, beta=0.1), SeededRng(15))
         x = SeededRng(16).child("x").generator().standard_normal((100, 96))
-        assert run_collect(w, x).shape == (150, 100)
+        assert run_collect(w, x).shape == (100, 150)
 
     def test_states_stay_bounded(self):
         w = init_weights(config(n=40, k=12), SeededRng(17))
