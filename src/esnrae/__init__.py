@@ -62,7 +62,6 @@ from .reservoir import (
     load_weights,
     run_collect,
     save_weights,
-    step,
 )
 
 __version__ = "0.1.0"

@@ -12,13 +12,14 @@ The pipeline per cell: parse -> z-score with train statistics (optional) ->
 inject noise into the targeted splits -> fit autoencoder on train -> encode
 train and test -> train the linear classifier on train features -> error
 rate on test features. The ``raw`` baseline skips the encoder and feeds the
-(preprocessed) patterns straight to the classifier. Runs go one at a time:
-all cells of a run are encoded first, keeping only each cell's standardized
-training design and test features, then the run's classifiers train together
-in one lockstep pass on the run's training labels and seed (each
-bit-identical to training it alone), each cell is scored, and the run's
-features are dropped. Memory beyond one cell therefore holds one run's
-features.
+(preprocessed) patterns straight to the classifier. Runs go in batches of
+consecutive runs: all cells of a batch are encoded first, keeping only each
+cell's standardized training design and test features, then the batch's
+classifiers train together in one lockstep pass on the training labels, each
+cell with its run's seed (each bit-identical to training it alone), each cell
+is scored, and the batch's features are dropped. A batch holds as many runs
+as fit under a fixed byte cap, worked out from the shapes before encoding,
+and at least one, so memory beyond one cell holds one batch's features.
 """
 
 from __future__ import annotations
@@ -52,7 +53,7 @@ from .data import Dataset, NoiseSpec, _read_lines, inject_noise, parse_ucr_pair
 from .errors import FormatError, NumericalError
 from .reservoir import ReservoirConfig, radius_memo
 
-# What fails one cell (or one run's classifiers) without ending the grid.
+# What fails one cell (or one batch's classifiers) without ending the grid.
 # FormatError is a ValueError.
 _CELL_ERRORS = (ValueError, NumericalError, MemoryError)
 
@@ -197,12 +198,6 @@ class ExperimentReport:
     cells: tuple[CellResult, ...]
     total_seconds: float
 
-    def cell(self, method: str, snr_db: float | None, run: int) -> CellResult:
-        for c in self.cells:
-            if c.method == method and c.snr_db == snr_db and c.run == run:
-                return c
-        raise KeyError(f"no cell for ({method}, {snr_db}, run {run})")
-
     def run_ers(self, method: str, snr_db: float | None) -> list[float]:
         """Per-run error rates of the valid cells, in run order."""
         return [
@@ -297,19 +292,24 @@ def _classify(
     encoded: list[_Encoded],
     y_train: np.ndarray,
     y_test: np.ndarray,
-    seed: int,
 ) -> list[CellResult]:
-    """Train the classifiers of one run's encoded cells in one pass, then score each.
+    """Train the classifiers of a batch's encoded cells in one pass, then score each.
 
-    Every cell trains on ``y_train`` with the run's ``seed`` and is scored on
-    ``y_test``. A cell's ``classify_ms`` is its evaluation time plus an equal
-    share of the shared training pass.
+    Every cell trains on ``y_train`` with its run's seed and is scored on
+    ``y_test``. The encoders' designs go first and the raw designs last, so
+    that designs of one width are adjacent in the pass. A cell's
+    ``classify_ms`` is its evaluation time plus an equal share of the shared
+    training pass.
     """
     done = [cell for cell, _ in encoded]
     ready = [i for i, (_, data) in enumerate(encoded) if data is not None]
     if not ready:
         return done
-    params = ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=seed)
+    ready.sort(key=lambda i: done[i].method == RAW_BASELINE)
+    params = [
+        ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=done[i].seed)
+        for i in ready
+    ]
     t0 = time.perf_counter()
     try:
         classifiers = train_classifiers([encoded[i][1][0] for i in ready], y_train, params)
@@ -331,12 +331,33 @@ def _classify(
     return done
 
 
+# Most bytes of features one batch of runs holds: each cell's (p_train, F+1)
+# design plus its (p_test, F) test features, all float64. A run of the grid
+# at ECG200 shape (p = 100/100, K = 96, N = 150; 5 cells per noise level)
+# holds 1.1 MB per level, so the two runs at two levels (4.5 MB) fit in one
+# pass, and configs/ecg200-sweep.json (5 levels, 5.6 MB per run) runs two at
+# a time. One clean Earthquakes run (p = 322/139, K = 512, N = 600) holds
+# 10.8 MB and runs alone; so does any run that alone exceeds the cap.
+_BATCH_BYTES = 12 * 2**20
+
+
+def _run_batches(spec: ExperimentSpec, p_train: int, p_test: int, input_len: int) -> list[range]:
+    """The grid's runs, in order, split into batches held under ``_BATCH_BYTES``."""
+    run_bytes = 0
+    for method in spec.all_methods():
+        f = input_len if method == RAW_BASELINE else spec.n_hidden
+        run_bytes += 8 * (p_train * (f + 1) + p_test * f) * len(spec.noise_levels)
+    size = max(1, _BATCH_BYTES // max(run_bytes, 1))  # an empty grid holds nothing
+    return [range(r, min(r + size, spec.n_runs)) for r in range(0, spec.n_runs, size)]
+
+
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     """Execute the full grid and return the merged report.
 
-    Runs go one at a time: the run's cells are encoded one after another, its
-    classifiers train in one :func:`~esnrae.classifier.train_classifiers`
-    pass, and its features are dropped before the next run starts.
+    Runs go in batches (see :func:`_run_batches`): the batch's cells are
+    encoded one after another, its classifiers train in one
+    :func:`~esnrae.classifier.train_classifiers` pass, and its features are
+    dropped before the next batch starts.
     """
     t_start = time.perf_counter()
     d_train, d_test = parse_ucr_pair(
@@ -345,27 +366,31 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     dataset = d_train.name
     grid = [(method, level) for method in spec.all_methods() for level in spec.noise_levels]
     # A multi-layer fit needs the most memory, so those cells are encoded
-    # first, while the fewest other cells' features are held.
+    # first in each run, while the fewest other cells' features are held.
     encode_order = sorted(grid, key=lambda cell: not is_multilayer(cell[0]))
+    batches = _run_batches(spec, d_train.n_patterns, d_test.n_patterns, d_train.input_len)
 
     # A recurrent draw depends only on (seed, stream, N, beta), so cells that
     # differ only in noise level or method share the spectral radius of their
     # draws. The memo closes with this call, even when a cell raises.
     cells: list[CellResult] = []
     with radius_memo():
-        for run in range(spec.n_runs):
-            seed = spec.base_seed + run
-            # All methods within one (level, run) see the same corrupted data.
-            noised = {
-                level: _noised(spec, d_train, d_test, level, seed)
-                for level in spec.noise_levels
-            }
-            encoded = [
-                _encode_cell(spec, dataset, method, level, run, *noised[level])
-                for method, level in encode_order
-            ]
-            cells += _classify(spec, encoded, d_train.labels, d_test.labels, seed)
-            del encoded, noised
+        for batch in batches:
+            encoded: list[_Encoded] = []
+            for run in batch:
+                seed = spec.base_seed + run
+                # All methods within one (level, run) see the same corrupted data.
+                noised = {
+                    level: _noised(spec, d_train, d_test, level, seed)
+                    for level in spec.noise_levels
+                }
+                encoded += [
+                    _encode_cell(spec, dataset, method, level, run, *noised[level])
+                    for method, level in encode_order
+                ]
+                del noised
+            cells += _classify(spec, encoded, d_train.labels, d_test.labels)
+            del encoded
 
     # Keyed merge: report order follows the spec's grid, not encoding order.
     by_key = {(c.method, c.snr_db, c.run): c for c in cells}

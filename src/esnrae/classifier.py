@@ -6,7 +6,8 @@ sizes plus the ball projection). Features arrive one row per pattern (p x F),
 the orientation the encoders emit; they are standardized internally with
 training statistics so the loss scale is comparable across datasets.
 :func:`train_classifiers` trains one such classifier per feature set of one
-training set side by side, each bit-identical to training it alone.
+training set side by side, each with its own seed, and each bit-identical to
+training it alone.
 """
 
 from __future__ import annotations
@@ -133,24 +134,26 @@ def _pegasos_rows(
     designs: list[np.ndarray],
     labels: np.ndarray,
     n_classes: int,
-    params: ClassifierParams,
+    params: list[ClassifierParams],
 ) -> np.ndarray:
     """Averaged Pegasos on every one-vs-rest problem of every design, in lockstep.
 
     ``designs`` are (p, F+1) matrices with one pattern count p, as in
-    :class:`Standardized`; ``labels`` are their p class ids. The averaged
-    weights of problem c of design j (+1 where the label is c, -1 elsewhere)
-    are returned at ``[j, c]``, zero beyond the design's width. Every
-    design's problem c draws its permutations from the stream
-    ``SeededRng(params.seed).child(f"class{c}")``.
+    :class:`Standardized`; ``labels`` are their p class ids. ``params`` holds
+    one entry per design, all with one ``reg_lambda`` and one ``epochs``. The
+    averaged weights of problem c of design j (+1 where the label is c, -1
+    elsewhere) are returned at ``[j, c]``, zero beyond the design's width.
+    Problem c of a design with seed s draws its permutations from the stream
+    ``SeededRng(s).child(f"class{c}")``; each distinct seed's streams are
+    drawn once per epoch and shared by every design with that seed.
 
     Each row runs the per-problem loop's operations in the same order: its
     margin and norm are one BLAS dot each (``np.matmul`` of (M, 1, F+1) by
     (M, F+1, 1) calls ddot once per row, as ``w @ xi`` does on a C-ordered
     design), over its own width only and on the unit-stride rows gathered
-    from its design; the hinge step touches only the rows that take it. So
-    each row equals a separate run of the loop on its problem bit for bit,
-    whatever else is in the batch:
+    from its design by its own seed's picks; the hinge step touches only the
+    rows that take it. So each row equals a separate run of the loop on its
+    problem bit for bit, whatever else is in the batch, other seeds included:
     - Rows narrower than the widest are zero-padded, and the elementwise
       steps leave the padding zero.
     - The gathered rows are multiplied by their labels. Negation is exact and
@@ -164,7 +167,12 @@ def _pegasos_rows(
     widths = [x.shape[1] for x in designs]
     m, width = len(designs) * n_classes, max(widths)
     negative = labels != np.arange(n_classes)[:, None]  # (C, p)
-    gens = [SeededRng(params.seed).child(f"class{c}").generator() for c in range(n_classes)]
+    seeds = list(dict.fromkeys(q.seed for q in params))  # distinct, in order of first use
+    gens = [
+        [SeededRng(seed).child(f"class{c}").generator() for c in range(n_classes)]
+        for seed in seeds
+    ]
+    which = [seeds.index(q.seed) for q in params]  # each design's seed
 
     w = np.zeros((m, width))
     w_sum = np.zeros((m, width))
@@ -186,20 +194,22 @@ def _pegasos_rows(
             margin_dots[k].append((w[span, None, :f], rows[span, k, :f, None], dots[span]))
         norm_dots.append((w[span, None, :f], w[span, :f, None], norms[span]))
     margins, norms2 = dots[:, :, 0], norms[:, :, 0]
-    reg_lambda = params.reg_lambda
+    reg_lambda = params[0].reg_lambda
     radius = 1.0 / np.sqrt(reg_lambda)
     t = 0
-    for _ in range(params.epochs):
-        picks = np.stack([g.permutation(p) for g in gens])  # (C, p) patterns in visit order
-        flips = np.take_along_axis(negative, picks, axis=1)[:, :, None]
+    for _ in range(params[0].epochs):
+        # (seeds, C, p) patterns in visit order, and each design's label flips.
+        picks = np.array([[g.permutation(p) for g in row] for row in gens])
+        flips = np.take_along_axis(negative[None], picks, axis=2)[which, :, :, None]
         for start in range(0, p, _CHUNK):
             stop = min(start + _CHUNK, p)
             size = stop - start
             chunk = by_design[:, :, :size]
-            for x, out in zip(designs, chunk):
+            block = picks[:, :, start:stop]
+            for x, s, out in zip(designs, which, chunk):
                 # mode="clip" lets take write into ``out`` directly; picks are in range.
-                x.take(picks[:, start:stop], axis=0, mode="clip", out=out[:, :, :x.shape[1]])
-            np.negative(chunk, out=chunk, where=flips[:, start:stop])
+                x.take(block[s], axis=0, mode="clip", out=out[:, :, :x.shape[1]])
+            np.negative(chunk, out=chunk, where=flips[:, :, start:stop])
             for k in range(size):
                 t += 1
                 for a, b, out in margin_dots[k]:
@@ -222,16 +232,22 @@ def _pegasos_rows(
 
 
 def train_classifiers(
-    designs: list[Standardized], labels: np.ndarray, params: ClassifierParams
+    designs: list[Standardized], labels: np.ndarray, params: list[ClassifierParams]
 ) -> list[LinearClassifier]:
     """Fit one classifier per :func:`standardize` design, all on one training set's labels.
 
     Every design holds the same p patterns, in the order of ``labels``, and
-    trains with ``params`` as in :func:`train_classifier`. All their binary
-    problems train in one lockstep pass, and each classifier equals the one
-    its design trains alone, bit for bit.
+    trains with its own entry of ``params`` as in :func:`train_classifier`.
+    The entries may differ in ``seed`` only: all share one ``reg_lambda`` and
+    one ``epochs``, or ValueError is raised. All the binary problems train in
+    one lockstep pass, and each classifier equals the one its design trains
+    alone with its params, bit for bit.
     """
     labels = np.asarray(labels, dtype=int)
+    if len(params) != len(designs):
+        raise ValueError(f"{len(params)} params for {len(designs)} designs")
+    if len({(q.reg_lambda, q.epochs) for q in params}) > 1:
+        raise ValueError("all designs must share reg_lambda and epochs")
     for design in designs:
         p = design.x.shape[0]
         if labels.shape != (p,):
@@ -242,8 +258,8 @@ def train_classifiers(
     weights = _pegasos_rows([d.x for d in designs], labels, n_classes, params)
     return [
         LinearClassifier(weights=w[:, :d.x.shape[1]].copy(), mean=d.mean, scale=d.scale,
-                         params=params)
-        for d, w in zip(designs, weights)
+                         params=q)
+        for d, w, q in zip(designs, weights, params)
     ]
 
 
@@ -258,7 +274,7 @@ def train_classifier(
     :func:`standardize`); class c trains a +/-1 problem on the stream
     ``SeededRng(params.seed).child(f"class{c}")``.
     """
-    return train_classifiers([standardize(features)], labels, params)[0]
+    return train_classifiers([standardize(features)], labels, [params])[0]
 
 
 def evaluate(

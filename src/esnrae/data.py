@@ -26,6 +26,9 @@ class Dataset:
 
     ``patterns`` has one pattern per row (p x K); ``labels`` holds class ids
     0..C-1; ``label_names[i]`` is the original file label for class id i.
+    Both are held as read-only views. An array given already C-ordered with
+    the right dtype is not copied and keeps its own flags, so the caller can
+    still write to it, and so change the dataset.
     """
 
     name: str
@@ -35,8 +38,8 @@ class Dataset:
     split: str = ""
 
     def __post_init__(self):
-        patterns = np.ascontiguousarray(self.patterns, dtype=float)
-        labels = np.ascontiguousarray(self.labels, dtype=int)
+        patterns = np.ascontiguousarray(self.patterns, dtype=float).view()
+        labels = np.ascontiguousarray(self.labels, dtype=int).view()
         if patterns.ndim != 2:
             raise ValueError(f"patterns must be 2-D, got ndim={patterns.ndim}")
         if labels.shape != (patterns.shape[0],):

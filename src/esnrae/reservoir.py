@@ -11,13 +11,11 @@ Weight layout: ``w_in`` is N x (K+1) with the bias in column 0 and the K
 input columns after it, so that tying can copy a K x N readout transpose
 into ``w_in[:, 1:]`` exactly.
 
-:func:`step` advances one pattern through every layer. :func:`run_collect`
-feeds a whole split layer by layer instead: a pattern's input product does
-not depend on the state, so it computes every pattern's product one
-cache-sized row block at a time and only then steps the recurrence, with
-the same products and sums as ``step``. Its input (p x K) and its result
-(p x N) both hold one row per pattern, the orientation of every feature
-matrix in the package.
+:func:`run_collect` feeds a whole split layer by layer: a pattern's input
+product does not depend on the state, so it computes every pattern's product
+one cache-sized row block at a time and only then steps the recurrence. Its
+input (p x K) and its result (p x N) both hold one row per pattern, the
+orientation of every feature matrix in the package.
 """
 
 from __future__ import annotations
@@ -220,41 +218,6 @@ def _recurrent_layers(weights: EsnWeights) -> tuple[bool, ...]:
     return tuple(bool(np.any(a)) for a in weights.w)
 
 
-def step(
-    weights: EsnWeights,
-    x_prev: list[np.ndarray] | tuple[np.ndarray, ...],
-    u: np.ndarray,
-) -> list[np.ndarray]:
-    """Advance every layer by one pattern.
-
-    Layer 1 sees the input (with constant 1 on the bias column) plus its own
-    previous state; layer k > 1 sees the *current* state of layer k-1 plus
-    its own previous state. A layer whose recurrent matrix is all zero skips
-    ``w[i] @ prev``: adding that exact zero vector would change no bit of the
-    state.
-    """
-    u = np.asarray(u, dtype=float)
-    if u.shape != (weights.input_dim,):
-        raise ValueError(f"input shape {u.shape} != ({weights.input_dim},)")
-    if len(x_prev) != weights.n_layers:
-        raise ValueError(f"expected {weights.n_layers} layer states, got {len(x_prev)}")
-    n = weights.n_hidden
-    prev = [np.asarray(x, dtype=float) for x in x_prev]
-    for i, x in enumerate(prev):
-        if x.shape != (n,):
-            raise ValueError(f"layer {i + 1} state shape {x.shape} != ({n},)")
-    states: list[np.ndarray] = []
-    for i, recurrent in enumerate(_recurrent_layers(weights)):
-        if i == 0:
-            drive = weights.w_in[:, 0] + weights.w_in[:, 1:] @ u
-        else:
-            drive = weights.w_inter[i - 1] @ states[i - 1]
-        if recurrent:
-            drive = drive + weights.w[i] @ prev[i]
-        states.append(np.tanh(drive + weights.b_e[i]))
-    return states
-
-
 # Rows of a layer's input map per block in run_collect. OpenBLAS's gemv dots
 # the rows in groups of 4, so a block that is a multiple of 4 gives each row
 # the bits of the whole-matrix product; 128 rows of a 600-wide map (0.6 MB)
@@ -285,9 +248,11 @@ def run_collect(weights: EsnWeights, patterns: np.ndarray) -> np.ndarray:
     pattern's product, row block by row block; then a recurrent layer steps
     the patterns in order, and a layer without recurrence takes its bias
     and ``tanh`` over the whole buffer at once. Each pattern gets the same
-    products and sums, in the same order, as in :func:`step`, so the
-    rows equal the last layer of a chain of ``step`` calls bit for bit. The
-    last layer's buffer is the result.
+    products and sums, in the same order, as when stepped alone through
+    every layer (the input or inter-layer product, then ``+ w[i] @ x`` where
+    the layer recurs, then the bias and ``tanh``), so the rows equal those of
+    a pattern-at-a-time loop bit for bit. The last layer's buffer is the
+    result.
     """
     patterns = np.asarray(patterns, dtype=float)
     if patterns.ndim != 2 or patterns.shape[1] != weights.input_dim:

@@ -34,13 +34,13 @@ from esnrae import (
     run_experiment,
     sparse_random_matrix,
     spectral_radius,
-    step,
     train_readout,
 )
 from esnrae.bench import CellResult
 from esnrae.reservoir import PRESETS
 
 from conftest import find_ucr
+from reservoir_reference import step
 
 ALL_KINDS = ("esn-rae", "ml-esn-rae", "elm-ae", "ml-elm-ae")
 SWEEP_LEVELS = (None, 50.0, 10.0, 1.0, 0.5)

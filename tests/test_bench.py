@@ -39,6 +39,12 @@ def small_spec(synth_files, **kw):
     return ExperimentSpec(**defaults)
 
 
+def cell_of(report, method, level, run):
+    """The report's one cell of (method, level, run)."""
+    (cell,) = [c for c in report.cells if (c.method, c.snr_db, c.run) == (method, level, run)]
+    return cell
+
+
 def fixture_report(ers_by_method, dataset="ecg200", level=None):
     """Hand-built single-run report used for pure-arithmetic ratio checks."""
     cells = tuple(
@@ -73,7 +79,7 @@ class TestRunExperiment:
         for method in spec.all_methods():
             for level in spec.noise_levels:
                 for run in range(2):
-                    cell = report.cell(method, level, run)
+                    cell = cell_of(report, method, level, run)
                     assert cell.seed == spec.base_seed + run
 
     def test_means_match_recomputation_oracle(self, synth_files):
@@ -166,35 +172,48 @@ class TestRunExperiment:
                 assert c.valid
 
     def test_out_of_memory_in_training_marks_the_runs_cells_invalid(self, synth_files, monkeypatch):
+        # Both runs share one training pass, so its failure marks all their cells.
+        calls = []
+
         def train_too_big(designs, labels, params):
+            calls.append(len(designs))
             raise MemoryError("Unable to allocate 1.00 EiB for an array")
 
         monkeypatch.setattr(bench_mod, "train_classifiers", train_too_big)
-        report = run_experiment(small_spec(synth_files, n_runs=1))
+        report = run_experiment(small_spec(synth_files, n_runs=2))
+        assert calls == [6]
         assert [c.error for c in report.cells] == [
             "MemoryError: Unable to allocate 1.00 EiB for an array"
-        ] * 3
+        ] * 6
 
-    def test_one_training_pass_per_run_on_the_training_labels(self, synth_files, monkeypatch):
+    def test_one_training_pass_per_batch_on_the_training_labels(self, synth_files, monkeypatch):
         from esnrae import parse_ucr_pair
 
         calls = []
         real_train = bench_mod.train_classifiers
 
         def recording(designs, labels, params):
-            calls.append((len(designs), labels, params))
+            calls.append(([d.x.shape[1] for d in designs], labels, params))
             return real_train(designs, labels, params)
 
         monkeypatch.setattr(bench_mod, "train_classifiers", recording)
         spec = small_spec(synth_files, n_runs=3, base_seed=7, noise_levels=(None, 10.0))
+        # A cap of two runs' features: runs 0-1 share a pass, run 2 has its own.
+        monkeypatch.setattr(bench_mod, "_BATCH_BYTES", 2 * held_bytes(spec, 40, 40, 32))
         report = run_experiment(spec)
         assert not report.invalid_cells
         d_train, _ = parse_ucr_pair(spec.train_path, spec.test_path, normalized=spec.normalize)
-        assert [params.seed for _, _, params in calls] == [7, 8, 9]
-        for n_designs, labels, params in calls:
-            assert n_designs == 6  # (2 methods + raw) x 2 levels
+        # Per run, (2 methods + raw) x 2 levels; the encoders' designs (N + 1
+        # wide) go first and the raw ones (K + 1) last.
+        assert [widths for widths, _, _ in calls] == [[21] * 8 + [33] * 4, [21] * 4 + [33] * 2]
+        assert [[q.seed for q in params] for _, _, params in calls] == [
+            [7] * 4 + [8] * 4 + [7, 7, 8, 8],
+            [9] * 6,
+        ]
+        for _, labels, params in calls:
             assert np.array_equal(labels, d_train.labels)
-            assert (params.reg_lambda, params.epochs) == (spec.reg_lambda, spec.epochs)
+            for q in params:
+                assert (q.reg_lambda, q.epochs) == (spec.reg_lambda, spec.epochs)
 
     def test_n_hidden_numpy_cannot_address_is_a_format_error(self, synth_files):
         with pytest.raises(FormatError, match="n_hidden"):
@@ -223,6 +242,71 @@ class TestRunExperiment:
     def test_epochs_above_bound_rejected(self, epochs):
         with pytest.raises(ValueError, match=r"epochs must be in \[1, 10000\]"):
             ExperimentSpec(train_path="a", test_path="b", epochs=epochs)
+
+
+def held_bytes(spec, p_train, p_test, input_len):
+    """Bytes of features one run of ``spec`` holds until its classifiers train:
+    each cell's (p_train, F+1) design and (p_test, F) test features."""
+    total = 0
+    for method in spec.all_methods():
+        f = input_len if method == "raw" else spec.n_hidden
+        total += 8 * (p_train * (f + 1) + p_test * f) * len(spec.noise_levels)
+    return total
+
+
+class TestRunBatches:
+    # (p_train, p_test, K, N, noise levels, runs) and the batch sizes expected.
+    SHAPES = {
+        "ecg200-grid": ((100, 100, 96, 150, (None, 10.0), 2), [2]),
+        "ecg200-sweep": ((100, 100, 96, 150, (None, 50.0, 10.0, 1.0, 0.5), 10), [2] * 5),
+        "earthquakes": ((322, 139, 512, 600, (None,), 3), [1] * 3),
+        "earthquakes-noisy": ((322, 139, 512, 600, (None, 10.0), 2), [1] * 2),
+    }
+
+    @pytest.mark.parametrize("name", sorted(SHAPES))
+    def test_no_batch_of_several_runs_exceeds_the_cap(self, name):
+        (p_train, p_test, k, n, levels, runs), sizes = self.SHAPES[name]
+        spec = ExperimentSpec(train_path="a", test_path="b", n_hidden=n,
+                              noise_levels=levels, n_runs=runs)
+        batches = bench_mod._run_batches(spec, p_train, p_test, k)
+        assert [run for batch in batches for run in batch] == list(range(runs))
+        assert [len(batch) for batch in batches] == sizes
+        run_bytes = held_bytes(spec, p_train, p_test, k)
+        for batch in batches:
+            assert len(batch) == 1 or len(batch) * run_bytes <= bench_mod._BATCH_BYTES
+        # Each batch is as large as the cap allows.
+        assert len(batches) == 1 or (batches[0].stop + 1) * run_bytes > bench_mod._BATCH_BYTES
+
+    def test_split_report_equals_unshared_cells(self, synth_files, monkeypatch):
+        from esnrae import parse_ucr_pair
+
+        spec = small_spec(synth_files, n_runs=3, noise_levels=(None, 10.0))
+        monkeypatch.setattr(bench_mod, "_BATCH_BYTES", 2 * held_bytes(spec, 40, 40, 32))
+        assert [len(b) for b in bench_mod._run_batches(spec, 40, 40, 32)] == [2, 1]
+        passes = []
+        real_train = bench_mod.train_classifiers
+
+        def recording(designs, labels, params):
+            passes.append((designs, labels, params, real_train(designs, labels, params)))
+            return passes[-1][-1]
+
+        monkeypatch.setattr(bench_mod, "train_classifiers", recording)
+        report = run_experiment(spec)
+        assert not report.invalid_cells
+        # Every classifier of a shared pass has the bits of its design trained alone.
+        assert len(passes) == 2
+        for designs, labels, params, classifiers in passes:
+            for design, q, clf in zip(designs, params, classifiers):
+                (alone,) = real_train([design], labels, [q])
+                assert np.array_equal(clf.weights, alone.weights)
+        d_train, d_test = parse_ucr_pair(spec.train_path, spec.test_path, normalized=spec.normalize)
+        for cell in report.cells:
+            dtr, dte = bench_mod._noised(spec, d_train, d_test, cell.snr_db, cell.seed)
+            encoded = bench_mod._encode_cell(
+                spec, report.dataset, cell.method, cell.snr_db, cell.run, dtr, dte
+            )
+            (alone,) = bench_mod._classify(spec, [encoded], dtr.labels, dte.labels)
+            assert (alone.er, alone.recon_error) == (cell.er, cell.recon_error)
 
 
 class TestNoiseMonotonicity:

@@ -211,6 +211,14 @@ class TestDatasetInvariants:
         with pytest.raises(ValueError):
             d.patterns[0, 0] = 99.0
 
+    def test_callers_arrays_stay_writeable(self):
+        # Both arrays are C-ordered with the dataset's dtypes, so neither is copied.
+        patterns, labels = np.zeros((3, 2)), np.array([0, 1, 0])
+        d = Dataset(name="toy", patterns=patterns, labels=labels, label_names=(0, 1))
+        assert np.shares_memory(d.patterns, patterns) and np.shares_memory(d.labels, labels)
+        assert patterns.flags.writeable and labels.flags.writeable
+        assert not d.patterns.flags.writeable and not d.labels.flags.writeable
+
     def test_label_count_must_match(self):
         with pytest.raises(ValueError):
             Dataset(

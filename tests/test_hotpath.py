@@ -26,7 +26,6 @@ from esnrae import (
     run_experiment,
     sparse_random_matrix,
     spectral_radius,
-    step,
 )
 from esnrae.autoencoder import RaeTrainSpec, fit
 from esnrae.classifier import (
@@ -37,6 +36,7 @@ from esnrae.classifier import (
     train_classifiers,
 )
 from esnrae.reservoir import PRESETS, resolve_preset
+from reservoir_reference import step
 
 
 def config(n=16, k=6, beta=0.25, layers=1):
@@ -44,7 +44,7 @@ def config(n=16, k=6, beta=0.25, layers=1):
 
 
 def stepped(weights, patterns, policy):
-    """Row j of the last layer by chaining public ``step`` calls.
+    """Row j of the last layer by chaining the reference ``step`` calls.
 
     Under ``"reset"`` each pattern starts from the zero state instead.
     """
@@ -221,7 +221,7 @@ class TestGridSharesRadii:
             encoded = bench_mod._encode_cell(
                 spec, report.dataset, cell.method, cell.snr_db, cell.run, dtr, dte
             )
-            (alone,) = bench_mod._classify(spec, [encoded], dtr.labels, dte.labels, cell.seed)
+            (alone,) = bench_mod._classify(spec, [encoded], dtr.labels, dte.labels)
             assert (alone.er, alone.recon_error) == (cell.er, cell.recon_error)
 
     def test_memo_open_during_the_grid_and_gone_after(self, synth_files, monkeypatch):
@@ -280,7 +280,7 @@ class TestPegasos:
         labels = np.where(y > 0, 0, 1)  # class 0 is the +1 problem
         params = ClassifierParams(reg_lambda=reg_lambda, epochs=7, seed=10)
         design = Standardized(x=x, mean=np.zeros(12), scale=np.ones(12))
-        (clf,) = train_classifiers([design], labels, params)
+        (clf,) = train_classifiers([design], labels, [params])
         rng = SeededRng(10).child("class0")
         assert np.array_equal(clf.weights[0], reference_pegasos(x, y, params, rng))
 
@@ -311,7 +311,8 @@ class TestLockstepPegasos:
         for width, order in [(12, "C"), (7, "F"), (48, "C"), (7, "C"), (12, "F")]:
             f = g.standard_normal((len(labels), width)) + labels[:, None]
             features.append(np.asfortranarray(f) if order == "F" else np.ascontiguousarray(f))
-        classifiers = train_classifiers([standardize(f) for f in features], labels, params)
+        designs = [standardize(f) for f in features]
+        classifiers = train_classifiers(designs, labels, [params] * len(designs))
         assert len(classifiers) == len(features)
         for f, clf in zip(features, classifiers):
             x, mean, scale = reference_design(f)
@@ -325,6 +326,38 @@ class TestLockstepPegasos:
             alone = train_classifier(f, labels, params)
             assert np.array_equal(clf.weights, alone.weights)
             assert np.array_equal(clf.mean, alone.mean) and np.array_equal(clf.scale, alone.scale)
+
+    @pytest.mark.parametrize("n_classes", [2, 3])
+    def test_interleaved_seeds_each_row_equals_the_reference_loop(self, n_classes):
+        g = SeededRng(16).generator()
+        labels = np.arange(30) % n_classes
+        g.shuffle(labels)
+        # Seed 3's designs are not contiguous, and widths interleave with seeds.
+        layout = [(12, 3), (7, 5), (12, 5), (48, 3), (7, 3), (12, 8)]
+        designs, params = [], []
+        for width, seed in layout:
+            designs.append(standardize(g.standard_normal((len(labels), width)) + labels[:, None]))
+            params.append(ClassifierParams(reg_lambda=1e-2, epochs=3, seed=seed))
+        classifiers = train_classifiers(designs, labels, params)
+        for design, q, clf in zip(designs, params, classifiers):
+            assert clf.params == q
+            for c, row in enumerate(clf.weights):
+                y = np.where(labels == c, 1.0, -1.0)
+                rng = SeededRng(q.seed).child(f"class{c}")
+                assert np.array_equal(row, reference_pegasos(design.x, y, q, rng))
+
+    @pytest.mark.parametrize("params, message", [
+        ([ClassifierParams(seed=0), ClassifierParams(reg_lambda=1e-3, seed=1)],
+         "share reg_lambda and epochs"),
+        ([ClassifierParams(seed=0), ClassifierParams(epochs=3, seed=1)],
+         "share reg_lambda and epochs"),
+        ([ClassifierParams()], "1 params for 2 designs"),
+    ])
+    def test_params_must_fit_the_designs(self, params, message):
+        g = SeededRng(17).generator()
+        designs = [standardize(g.standard_normal((10, 4))) for _ in range(2)]
+        with pytest.raises(ValueError, match=message):
+            train_classifiers(designs, np.arange(10) % 2, params)
 
     @staticmethod
     def margin_on_the_edge(labels, seed):

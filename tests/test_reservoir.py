@@ -17,9 +17,9 @@ from esnrae import (
     run_collect,
     save_weights,
     spectral_radius,
-    step,
 )
 from esnrae.reservoir import PRESETS, resolve_preset
+from reservoir_reference import step
 
 
 def config(n=20, k=8, beta=0.2, layers=1, rho=0.9, scaling=1.0):
