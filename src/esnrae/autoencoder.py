@@ -194,8 +194,6 @@ def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
 #   magic   8 bytes  b"ESNRAE\x00\x03"
 #   u32     JSON header length in bytes, then that many UTF-8 bytes
 #   weight container (see reservoir module)
-# Versions 1 and 2, which also held blocks and settings that no reader needs,
-# are refused rather than read.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"ESNRAE\x00\x03"
@@ -251,6 +249,9 @@ def _check_training_meta(meta: dict, path: str) -> None:
         ("reconstruction_error", meta.get("reconstruction_error"), _is_number, "a number"),
         ("pre_tying_error", meta.get("pre_tying_error"), _is_number, "a number"),
         ("config.input_scaling", meta["config"].get("input_scaling"), _is_number, "a number"),
+        ("config.connectivity", meta["config"].get("connectivity"), _is_number, "a number"),
+        ("config.spectral_radius_target", meta["config"].get("spectral_radius_target"),
+         _is_number, "a number"),
     ):
         if not ok(value):
             raise FormatError(f"{path}: metadata {key}={value!r} is not {expected}")
@@ -267,11 +268,6 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
-        if magic[:-1] == _MAGIC[:-1] and magic[-1] in (1, 2):
-            raise FormatError(
-                f"{path}: encoder envelope version {magic[-1]} is no longer read; "
-                "re-run `esnrae encode` to write version 3"
-            )
         if magic != _MAGIC:
             raise FormatError(f"{path}: not an encoder envelope (magic {magic!r})")
         meta = _read_meta(fh, path)

@@ -555,35 +555,14 @@ def emit_markdown(report: ExperimentReport, path: str) -> None:
 
 
 def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from a flat JSON document plus flag overrides.
-
-    Keys of retired settings are accepted and ignored: ``workers`` (cells
-    once ran on a thread pool) and ``n_candidates`` (fit once chose among
-    several network draws) with any value, ``reset_policy`` only as
-    ``"carry"`` and ``pinv_tolerance`` only as null, the values every run
-    uses. Any other value of those two is a FormatError.
-    """
+    """Build an ExperimentSpec from a flat JSON document plus flag overrides."""
     try:
         doc = json.loads("".join(_read_lines(path)))
     except (ValueError, RecursionError) as exc:
         raise FormatError(f"{path}: invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
-    doc.pop("workers", None)
-    doc.pop("n_candidates", None)
-    if doc.get("reset_policy") == "reset":
-        raise FormatError(
-            f'{path}: reset_policy "reset" is retired: zeroing the state before each '
-            "pattern gave bit-identical features to elm-ae (ml-elm-ae for "
-            "ml-esn-rae), so run that method"
-        )
-    for key, kept in (("reset_policy", "carry"), ("pinv_tolerance", None)):
-        value = doc.pop(key, kept)
-        if value != kept:
-            raise FormatError(
-                f"{path}: {key} is retired and accepts only {json.dumps(kept)}, "
-                f"got {json.dumps(value)}"
-            )
+    doc.pop("workers", None)  # ignored: perfbench/workloads.py writes it into every grid spec
     if overrides:
         doc.update({k: v for k, v in overrides.items() if v is not None})
     known = set(ExperimentSpec.__dataclass_fields__)

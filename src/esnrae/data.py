@@ -86,7 +86,10 @@ class NoiseSpec:
 def _split_line(line: str, sep: str | None) -> list[str]:
     if sep is None:
         return line.split()
-    return [f for f in line.split(sep) if f.strip()]
+    fields = line.split(sep)
+    if not fields[-1]:  # one trailing separator; any other empty field is refused
+        fields.pop()
+    return fields
 
 
 def _detect_separator(line: str) -> str | None:

@@ -295,12 +295,9 @@ def run_collect(weights: EsnWeights, patterns: np.ndarray) -> np.ndarray:
 #   u32     input length K
 #   blocks: w_in, w[0..M-1], w_inter[0..M-2], b_e[0..M-1]
 # Each block is u32 rows, u32 cols, then rows*cols float64 row-major.
-# Version 1 also stored a decoder bias block after b_e, which no computation
-# read; it is refused rather than read.
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"ESNWGT\x00\x02"
-_MAGIC_V1 = b"ESNWGT\x00\x01"
 
 
 def _write_block(fh: BinaryIO, a: np.ndarray) -> None:
@@ -356,17 +353,8 @@ def save_weights(weights: EsnWeights, fh: BinaryIO) -> None:
 
 
 def load_weights(fh: BinaryIO) -> EsnWeights:
-    """Inverse of :func:`save_weights`.
-
-    A version-1 container is refused with a FormatError: re-running
-    ``esnrae encode`` writes the same weights as version 2.
-    """
+    """Inverse of :func:`save_weights`."""
     magic = fh.read(len(_MAGIC))
-    if magic == _MAGIC_V1:
-        raise FormatError(
-            "weight container version 1 is no longer read (it held an unused "
-            "decoder bias); re-run `esnrae encode` to write version 2"
-        )
     if magic != _MAGIC:
         raise FormatError(f"not a weight container (magic {magic!r})")
     header = fh.read(12)

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -603,10 +605,21 @@ class TestEnvelopeErrors:
         with pytest.raises(FormatError, match=f"{kind} needs n_layers == 1"):
             self.load(tmp_path, self.rebuild(raw, json.dumps(meta).encode()))
 
+    @pytest.mark.parametrize("key", ["input_scaling", "connectivity", "spectral_radius_target"])
+    def test_boolean_config_number_is_refused(self, tmp_path, envelope, key):
+        import json
+
+        _, meta_bytes, _ = self.split(envelope)
+        meta = json.loads(meta_bytes)
+        meta["config"][key] = True
+        with pytest.raises(FormatError, match=rf"metadata config\.{key}=True is not a number"):
+            self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
+
     @pytest.mark.parametrize("version", [1, 2])
     def test_older_envelope_versions_are_refused(self, tmp_path, envelope, version):
-        with pytest.raises(FormatError, match=f"version {version}.*esnrae encode"):
-            self.load(tmp_path, b"ESNRAE\x00" + bytes([version]) + envelope[8:])
+        magic = b"ESNRAE\x00" + bytes([version])
+        with pytest.raises(FormatError, match=re.escape(f"not an encoder envelope (magic {magic!r})")):
+            self.load(tmp_path, magic + envelope[8:])
 
 
     def test_deeply_nested_metadata_is_a_format_error(self, tmp_path, envelope):
@@ -710,5 +723,5 @@ class TestEnvelopeProperties:
         at = 12 + hlen  # the weight container starts after the metadata
         assert valid[at : at + 8] == b"ESNWGT\x00\x02"
         v1 = valid[:at] + b"ESNWGT\x00\x01" + valid[at + 8 :]
-        with pytest.raises(FormatError, match="version 1.*esnrae encode"):
+        with pytest.raises(FormatError, match=re.escape(f"not a weight container (magic {v1[at : at + 8]!r})")):
             self.load_bytes(d, v1)

@@ -531,29 +531,20 @@ class TestLoadSpec:
             reports.append(out.read_bytes())
         assert reports[0] == reports[1]
 
-    def test_retired_keys_at_their_fixed_values_are_ignored(self, tmp_path):
-        base = {"train_path": "a", "test_path": "b", "n_runs": 3}
-        specs = []
-        for name, extra in (
-            ("plain", {}),
-            ("retired", {"reset_policy": "carry", "pinv_tolerance": None}),
-        ):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps({**base, **extra}))
-            specs.append(bench_mod.load_spec(str(path)))
-        assert specs[0] == specs[1]
-        assert "reset_policy" not in specs[1].echo()
+    def test_perfbench_grid_specs_load(self, tmp_path, monkeypatch):
+        # perfbench writes "workers": 1 into every grid spec, which is why
+        # load_spec still ignores that key.
+        monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+        from perfbench.workloads import WORKLOADS, GridWorkload
 
-    @pytest.mark.parametrize("value", [5, 0, 2.5, "x", None])
-    def test_n_candidates_key_is_ignored_at_any_value(self, tmp_path, value):
-        base = {"train_path": "a", "test_path": "b", "n_runs": 3}
-        specs = []
-        for name, extra in (("plain", {}), ("selecting", {"n_candidates": value})):
-            path = tmp_path / f"{name}.json"
-            path.write_text(json.dumps({**base, **extra}))
-            specs.append(bench_mod.load_spec(str(path)))
-        assert specs[0] == specs[1]
-        assert "n_candidates" not in specs[1].echo()
+        grids = [w for w in WORKLOADS.values() if isinstance(w, GridWorkload)]
+        assert grids
+        for workload in grids:
+            d = tmp_path / workload.name
+            d.mkdir()
+            workload._write_spec(str(d / "train.txt"), str(d / "test.txt"))
+            spec = bench_mod.load_spec(str(d / "spec.json"))
+            assert spec.n_runs == workload.n_runs
 
     @pytest.mark.parametrize("key", ["n_hidden", "n_layers_ml", "n_runs", "base_seed", "epochs"])
     @pytest.mark.parametrize(
@@ -581,29 +572,30 @@ class TestLoadSpec:
         retired = {"workers", "reset_policy", "pinv_tolerance", "n_candidates"}
         assert not retired & set(json.loads(config.read_text()))
 
-    def test_reset_policy_reset_names_the_identical_elm_method(self, tmp_path):
-        from esnrae import FormatError
-
-        path = tmp_path / "spec.json"
-        path.write_text('{"train_path": "a", "test_path": "b", "reset_policy": "reset"}')
-        with pytest.raises(FormatError, match=r"spec\.json: reset_policy.*elm-ae"):
-            bench_mod.load_spec(str(path))
-
     @pytest.mark.parametrize(
         "extra",
         [
+            '"reset_policy": "carry"',
+            '"reset_policy": "reset"',
             '"reset_policy": "bounce"',
             '"reset_policy": null',
+            '"pinv_tolerance": null',
             '"pinv_tolerance": 1e-10',
             '"pinv_tolerance": 0',
+            '"n_candidates": 5',
+            '"n_candidates": 0',
+            '"n_candidates": 2.5',
+            '"n_candidates": "x"',
+            '"n_candidates": null',
         ],
     )
-    def test_retired_keys_at_other_values_are_format_errors(self, tmp_path, extra):
+    def test_retired_keys_are_unknown_keys(self, tmp_path, extra):
         from esnrae import FormatError
 
         path = tmp_path / "spec.json"
         path.write_text('{"train_path": "a", "test_path": "b", ' + extra + "}")
-        with pytest.raises(FormatError, match=r"spec\.json: \w+ is retired"):
+        key = extra.split('"')[1]
+        with pytest.raises(FormatError, match=rf"spec\.json: unknown spec keys \['{key}'\]"):
             bench_mod.load_spec(str(path))
 
     def test_noise_level_too_large_for_a_float_is_a_format_error(self, tmp_path):

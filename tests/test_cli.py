@@ -163,7 +163,6 @@ class TestBenchCommand:
             "methods": ["esn-rae", "elm-ae"],
             "n_hidden": 16,
             "connectivity": 0.25,
-            "n_candidates": 2,
             "n_runs": 2,
             "noise_levels": [None, 10],
             "epochs": 20,
@@ -264,12 +263,10 @@ class TestBenchCommand:
         [
             {"epochs": 0},
             {"reg_lambda": 0},
-            {"reset_policy": "bounce"},
             {"connectivity": 2.0},
             {"n_hidden": 0},
             {"n_layers_ml": 1, "methods": ["esn-rae", "ml-esn-rae"]},
             {"spectral_radius": -1},
-            {"pinv_tolerance": -1},
             {"noise_levels": [None, float("inf")]},
             pytest.param({"epochs": 10_001}, id="epochs-above-bound"),
             pytest.param({"noise_levels": ["10", True]}, id="noise_levels-string-and-bool"),
@@ -328,17 +325,22 @@ class TestBenchCommand:
         assert "spec.json" in stderr and f"n_hidden {2**62} is too large" in stderr
         assert not fitted
 
-    def test_reset_policy_reset_exits_2_naming_elm_ae(
-        self, synth_files, tmp_path, capsys, monkeypatch
+    @pytest.mark.parametrize(
+        "extra",
+        [{"reset_policy": "reset"}, {"reset_policy": "bounce"}, {"pinv_tolerance": -1}],
+        ids=lambda extra: ",".join(f"{k}={v}" for k, v in extra.items()),
+    )
+    def test_retired_key_exits_2_as_an_unknown_key(
+        self, synth_files, tmp_path, capsys, monkeypatch, extra
     ):
         import esnrae.bench as bench_mod
 
         fitted = []
         monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
-        spec = self.write_spec(tmp_path, synth_files, reset_policy="reset")
+        spec = self.write_spec(tmp_path, synth_files, **extra)
         code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(tmp_path)], capsys)
         assert code == 2
-        assert "elm-ae" in stderr
+        assert f"spec.json: unknown spec keys {list(extra)}" in stderr
         assert not fitted
 
     @pytest.mark.parametrize("key", ["n_hidden", "n_layers_ml", "n_runs", "base_seed", "epochs"])

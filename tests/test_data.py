@@ -67,6 +67,20 @@ class TestParseUcr:
         with pytest.raises(FormatError, match="non-numeric"):
             parse_ucr(str(path))
 
+    def test_blank_field_is_refused(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1,0.5,,0.7\n2,,0.3,0.4\n")
+        with pytest.raises(FormatError, match="line 1: non-numeric field"):
+            parse_ucr(str(path))
+
+    def test_one_trailing_separator_is_allowed(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("1,0.5,0.7,\n2,0.3,0.4,\n")
+        assert parse_ucr(str(path)).input_len == 2
+        path.write_text("1,0.5,0.7,,\n2,0.3,0.4,,\n")
+        with pytest.raises(FormatError, match="line 1: non-numeric field"):
+            parse_ucr(str(path))
+
     def test_empty_file(self, tmp_path):
         path = tmp_path / "d.txt"
         path.write_text("\n\n")

@@ -21,11 +21,13 @@ from esnrae import (
     ReservoirConfig,
     SeededRng,
     init_weights,
+    make_synthetic,
     parse_ucr_pair,
     run_collect,
     run_experiment,
     sparse_random_matrix,
     spectral_radius,
+    write_ucr,
 )
 from esnrae.autoencoder import RaeTrainSpec, fit
 from esnrae.classifier import (
@@ -161,6 +163,17 @@ class TestRadiusMemo:
         assert np.array_equal(init_weights(cfg, rng).w[0], expected)
 
 
+@pytest.fixture(scope="module")
+def overlapping_files(tmp_path_factory):
+    """Synthetic train/test files whose classes overlap (no offset), unlike synth_files."""
+    d = tmp_path_factory.mktemp("overlap")
+    paths = []
+    for split in make_synthetic(n_train=40, n_test=40, length=32, seed=5, offset=0.0):
+        paths.append(str(d / f"overlap_{split.split.upper()}.txt"))
+        write_ucr(split, paths[-1])
+    return tuple(paths)
+
+
 def grid_spec(synth_files, **kw):
     train, test = synth_files
     defaults = dict(
@@ -210,8 +223,11 @@ class TestGridSharesRadii:
         assert len(set(seen)) == distinct
         assert len(seen) == distinct
 
-    def test_report_equals_unshared_cells(self, synth_files):
-        spec = grid_spec(synth_files)
+    # On the separable files most error rates are 0.0 whatever the classifier
+    # bits, so the overlapping ones are what let a changed classifier show.
+    @pytest.mark.parametrize("files", ["synth_files", "overlapping_files"])
+    def test_report_equals_unshared_cells(self, request, files):
+        spec = grid_spec(request.getfixturevalue(files))
         report = run_experiment(spec)
         d_train, d_test = parse_ucr_pair(
             spec.train_path, spec.test_path, name=spec.dataset_name, normalized=spec.normalize
