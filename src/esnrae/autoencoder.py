@@ -26,7 +26,7 @@ from typing import BinaryIO
 import numpy as np
 
 from .data import Dataset
-from .errors import FormatError, NumericalError, TrainingError
+from .errors import FormatError, NumericalError, TrainingError, check_field_types
 from .linalg import SeededRng, pinv, rank
 from .reservoir import (
     EsnWeights,
@@ -56,6 +56,9 @@ class RaeTrainSpec:
     cfg: ReservoirConfig
     seed: int = 0
 
+    def __post_init__(self):
+        check_field_types(self)
+
 
 @dataclass(frozen=True)
 class TrainedAutoencoder:
@@ -76,6 +79,16 @@ class TrainedAutoencoder:
     pre_tying_error: float
     chosen_candidate: int
     spec: RaeTrainSpec
+
+    def __post_init__(self):
+        check_field_types(self)
+        _validate_kind(self.kind, self.spec.cfg)
+        if self.chosen_candidate < 0:
+            raise ValueError(f"chosen_candidate must be >= 0, got {self.chosen_candidate}")
+        for key in ("n_hidden", "input_dim", "n_layers"):
+            value, actual = getattr(self.spec.cfg, key), getattr(self.weights, key)
+            if value != actual:
+                raise ValueError(f"config {key}={value!r} disagrees with the weights ({actual})")
 
 
 def train_readout(h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
@@ -197,6 +210,8 @@ def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"ESNRAE\x00\x03"
+_META_KEYS = {"kind", "seed", "reconstruction_error", "pre_tying_error", "chosen_candidate",
+              "config"}
 
 
 def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
@@ -232,39 +247,14 @@ def _read_meta(fh: BinaryIO, path: str) -> dict:
     return meta
 
 
-def _is_int(value: object) -> bool:
-    return type(value) is int
-
-
-def _is_number(value: object) -> bool:
-    return type(value) in (int, float)
-
-
-def _check_training_meta(meta: dict, path: str) -> None:
-    """Types of the training metadata; the chosen draw index is not negative."""
-    for key, value, ok, expected in (
-        ("seed", meta.get("seed"), _is_int, "an integer"),
-        ("chosen_candidate", meta.get("chosen_candidate"),
-         lambda v: _is_int(v) and v >= 0, "a non-negative integer"),
-        ("reconstruction_error", meta.get("reconstruction_error"), _is_number, "a number"),
-        ("pre_tying_error", meta.get("pre_tying_error"), _is_number, "a number"),
-        ("config.input_scaling", meta["config"].get("input_scaling"), _is_number, "a number"),
-        ("config.connectivity", meta["config"].get("connectivity"), _is_number, "a number"),
-        ("config.spectral_radius_target", meta["config"].get("spectral_radius_target"),
-         _is_number, "a number"),
-    ):
-        if not ok(value):
-            raise FormatError(f"{path}: metadata {key}={value!r} is not {expected}")
-
-
 def load_autoencoder(path: str) -> TrainedAutoencoder:
     """Inverse of :func:`save_autoencoder`, bit-exact.
 
     A file that is not a complete, self-consistent envelope raises
     FormatError; that includes bytes after the weight container, metadata
     whose reservoir config disagrees with the stored weight dimensions, a kind
-    whose layer count disagrees with the weights, and ill-typed training
-    metadata. Metadata keys the envelope no longer writes are ignored.
+    whose layer count disagrees with the weights, ill-typed training metadata
+    and any top-level key that :func:`save_autoencoder` does not write.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -274,29 +264,17 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
         weights = load_weights(fh)
         if fh.read(1):
             raise FormatError(f"{path}: bytes follow the weight container")
-    config = meta["config"]
-    for key, actual in (
-        ("n_hidden", weights.n_hidden),
-        ("input_dim", weights.input_dim),
-        ("n_layers", weights.n_layers),
-    ):
-        value = config.get(key)
-        if type(value) is not int or value != actual:
-            raise FormatError(
-                f"{path}: metadata config {key}={value!r} disagrees with the "
-                f"stored weights ({actual})"
-            )
-    _check_training_meta(meta, path)
+    unknown = sorted(set(meta) - _META_KEYS)
+    if unknown:
+        raise FormatError(f"{path}: unknown encoder metadata keys {unknown}")
     try:
-        spec = RaeTrainSpec(cfg=ReservoirConfig(**config), seed=meta["seed"])
-        _validate_kind(meta["kind"], spec.cfg)
         return TrainedAutoencoder(
             kind=meta["kind"],
             weights=weights,
             reconstruction_error=meta["reconstruction_error"],
             pre_tying_error=meta["pre_tying_error"],
             chosen_candidate=meta["chosen_candidate"],
-            spec=spec,
+            spec=RaeTrainSpec(cfg=ReservoirConfig(**meta["config"]), seed=meta["seed"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid encoder metadata: {exc!r}") from exc

@@ -28,15 +28,13 @@ import io
 import json
 import math
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .autoencoder import (
     KINDS,
     RaeTrainSpec,
-    _is_int,
-    _is_number,
     _validate_kind,
     encode,
     fit,
@@ -50,7 +48,7 @@ from .classifier import (
     train_classifiers,
 )
 from .data import Dataset, NoiseSpec, _read_lines, inject_noise, parse_ucr_pair
-from .errors import FormatError, NumericalError
+from .errors import FormatError, NumericalError, check_field_types
 from .reservoir import ReservoirConfig, radius_memo
 
 # What fails one cell (or one batch's classifiers) without ending the grid.
@@ -73,12 +71,6 @@ CSV_COLUMNS = (
     "error",
 )
 _TIMING_COLUMNS = ("fit_ms", "encode_ms", "classify_ms")
-
-
-_INT_FIELDS = ("n_hidden", "n_layers_ml", "n_runs", "base_seed", "epochs")
-_NUMBER_FIELDS = ("connectivity", "spectral_radius", "input_scaling", "reg_lambda")
-_BOOL_FIELDS = ("raw_baseline", "normalize")
-_STR_FIELDS = ("train_path", "test_path", "dataset_name")
 
 
 @dataclass(frozen=True)
@@ -104,27 +96,17 @@ class ExperimentSpec:
     epochs: int = 50
 
     def __post_init__(self):
-        # A spec read from JSON can hold any type or size; a wrong one would
-        # otherwise surface as an uncaught TypeError deep inside a cell or in
-        # the report after the whole grid, and a huge integer as a failure in
-        # every cell or a practically endless loop.
+        # A spec read from JSON can hold any type or size; each is refused
+        # here rather than deep inside a cell or after the whole grid.
+        check_field_types(self)
         for name in ("methods", "noise_levels"):
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
-        object.__setattr__(self, "methods", tuple(self.methods))
-        object.__setattr__(self, "noise_levels", tuple(self.noise_levels))
-        for names, ok, expected in (
-            (_STR_FIELDS, lambda v: isinstance(v, str), "a string"),
-            (_INT_FIELDS, lambda v: _is_int(v) and -(2**63) <= v < 2**63,
-             "an integer in the signed 64-bit range"),
-            (_NUMBER_FIELDS, _is_number, "a number"),
-            (_BOOL_FIELDS, lambda v: type(v) is bool, "true or false"),
-            (("noise_levels",), lambda v: all(x is None or _is_number(x) for x in v),
-             "a list of numbers or nulls"),
-        ):
-            for name in names:
-                if not ok(getattr(self, name)):
-                    raise ValueError(f"{name} must be {expected}, got {getattr(self, name)!r}")
+            object.__setattr__(self, name, tuple(getattr(self, name)))
+        if not all(x is None or type(x) in (int, float) for x in self.noise_levels):
+            raise ValueError(
+                f"noise_levels must be a list of numbers or nulls, got {self.noise_levels!r}"
+            )
         # The dataset name names the report files inside the output directory.
         if any(c in self.dataset_name for c in "/\\\0"):
             raise ValueError(
@@ -160,12 +142,6 @@ class ExperimentSpec:
             n_layers=self.n_layers_ml if is_multilayer(method) else 1,
             input_scaling=self.input_scaling,
         )
-
-    def echo(self) -> dict:
-        d = {k: getattr(self, k) for k in self.__dataclass_fields__}
-        d["methods"] = list(self.methods)
-        d["noise_levels"] = list(self.noise_levels)
-        return d
 
 
 @dataclass(frozen=True)
@@ -460,7 +436,7 @@ def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) 
     """
     columns = [c for c in CSV_COLUMNS if include_timings or c not in _TIMING_COLUMNS]
     buf = io.StringIO()
-    buf.write(f"# spec: {json.dumps(report.spec.echo(), sort_keys=True)}\n")
+    buf.write(f"# spec: {json.dumps(asdict(report.spec), sort_keys=True)}\n")
     buf.write(",".join(columns) + "\n")
     for c in report.cells:
         row = {
@@ -544,7 +520,7 @@ def emit_markdown(report: ExperimentReport, path: str) -> None:
     lines.append("## Configuration")
     lines.append("")
     lines.append("```json")
-    lines.append(json.dumps(report.spec.echo(), indent=2, sort_keys=True))
+    lines.append(json.dumps(asdict(report.spec), indent=2, sort_keys=True))
     lines.append("```")
     lines.append("")
     seeds = [report.spec.base_seed + r for r in range(report.spec.n_runs)]
@@ -574,7 +550,7 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
             raise FormatError(f"{path}: missing required key {key!r}")
     try:
         if isinstance(doc.get("noise_levels"), list):
-            doc["noise_levels"] = [float(v) if _is_number(v) else v for v in doc["noise_levels"]]
+            doc["noise_levels"] = [float(v) if type(v) is int else v for v in doc["noise_levels"]]
         return ExperimentSpec(**doc)
     except (TypeError, ValueError, OverflowError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

@@ -17,6 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_field_types
 from .linalg import SeededRng
 
 
@@ -27,6 +28,7 @@ class ClassifierParams:
     seed: int = 0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.reg_lambda <= 0:
             raise ValueError(f"reg_lambda must be positive, got {self.reg_lambda}")
         if not 1 <= self.epochs <= 10_000:  # 200 times the default

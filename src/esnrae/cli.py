@@ -16,6 +16,7 @@ import json
 import math
 import os
 import sys
+from dataclasses import asdict
 
 import numpy as np
 
@@ -171,7 +172,7 @@ def cmd_bench(args) -> int:
     spec = bench_mod.load_spec(_require_file(args.spec), overrides)
     _require_file(spec.train_path)
     _require_file(spec.test_path)
-    _echo({"command": "bench", "spec_file": args.spec, **spec.echo()})
+    _echo({"command": "bench", "spec_file": args.spec, **asdict(spec)})
     os.makedirs(args.out_dir, exist_ok=True)
     # The report is named after the dataset, as parse_ucr names it.
     stem = os.path.join(args.out_dir, f"{spec.dataset_name or _stem(spec.train_path)}_report")
@@ -184,7 +185,7 @@ def cmd_bench(args) -> int:
     print(f"wrote {csv_path} and {md_path}")
     for method in spec.all_methods():
         for level in spec.noise_levels:
-            label = "clean" if level is None else f"{level:g} dB"
+            label = bench_mod._level_label(level)
             print(f"  {method:12s} {label:8s} mean ER {report.mean_er(method, level):.4f}")
     if report.invalid_cells:
         print(f"{len(report.invalid_cells)} invalid cell(s); see report", file=sys.stderr)

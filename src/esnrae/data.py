@@ -13,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import FormatError
+from .errors import FormatError, check_field_types
 from .linalg import SeededRng
 
 # snr_db at or above this is treated as "no noise".
@@ -77,8 +77,7 @@ class NoiseSpec:
     targets: str = "both"  # train | test | both
 
     def __post_init__(self):
-        if not math.isfinite(self.snr_db):
-            raise ValueError(f"snr_db must be finite, got {self.snr_db}")
+        check_field_types(self)
         if self.targets not in ("train", "test", "both"):
             raise ValueError(f"targets must be train|test|both, got {self.targets!r}")
 

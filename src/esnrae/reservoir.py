@@ -27,7 +27,7 @@ from typing import BinaryIO, Iterator
 
 import numpy as np
 
-from .errors import DegenerateMatrixError, FormatError
+from .errors import DegenerateMatrixError, FormatError, check_field_types
 from .linalg import SeededRng, sparse_random_matrix, spectral_radius
 
 # Retries per layer when a sparse draw happens to be nilpotent.
@@ -68,9 +68,10 @@ class ReservoirConfig:
     input_scaling: float = 1.0
 
     def __post_init__(self):
+        check_field_types(self)
         if self.n_hidden < 1:
             raise ValueError(f"n_hidden must be >= 1, got {self.n_hidden}")
-        if int(self.n_hidden) ** 2 * 8 > np.iinfo(np.intp).max:
+        if self.n_hidden ** 2 * 8 > np.iinfo(np.intp).max:
             raise FormatError(
                 f"n_hidden {self.n_hidden} is too large: an N x N float64 matrix "
                 f"would exceed the {np.iinfo(np.intp).max} bytes numpy can address"

@@ -612,7 +612,7 @@ class TestEnvelopeErrors:
         _, meta_bytes, _ = self.split(envelope)
         meta = json.loads(meta_bytes)
         meta["config"][key] = True
-        with pytest.raises(FormatError, match=rf"metadata config\.{key}=True is not a number"):
+        with pytest.raises(FormatError, match=rf"{key} must be a finite number, got True"):
             self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
 
     @pytest.mark.parametrize("version", [1, 2])
@@ -643,18 +643,19 @@ class TestEnvelopeErrors:
         assert load_weights(fh).n_hidden == 30
         assert fh.read() == b""
 
-    def test_fewer_errors_than_candidates_loads(self, tmp_path, envelope):
+    def test_metadata_keys_the_writer_does_not_write_are_refused(self, tmp_path, envelope):
         import json
 
-        # Envelopes from before candidate selection was removed also hold
-        # n_candidates and the errors of the candidates scored, one of them
-        # when the readout interpolates. Those keys are ignored.
+        # n_candidates and candidate_errors were written before candidate
+        # selection was removed; no current writer emits them.
         _, meta_bytes, _ = self.split(envelope)
         meta = json.loads(meta_bytes)
         meta.update(n_candidates=10, candidate_errors=[1e-15])
-        back = self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
-        again = self.load(tmp_path, envelope)
-        assert back.spec == again.spec and back.chosen_candidate == again.chosen_candidate
+        with pytest.raises(
+            FormatError,
+            match=re.escape("unknown encoder metadata keys ['candidate_errors', 'n_candidates']"),
+        ):
+            self.load(tmp_path, self.rebuild(envelope, json.dumps(meta).encode()))
 
     def test_untouched_envelope_still_loads(self, tmp_path, envelope):
         import json
@@ -662,6 +663,29 @@ class TestEnvelopeErrors:
         _, meta_bytes, _ = self.split(envelope)
         raw = self.rebuild(envelope, json.dumps(json.loads(meta_bytes)).encode())
         assert self.load(tmp_path, raw).weights.n_hidden == 30
+
+
+class TestTrainedAutoencoderChecks:
+    @pytest.fixture(scope="class")
+    def trained(self):
+        return fit(random_dataset(seed=44), train_spec(seed=45), "esn-rae")[0]
+
+    @pytest.mark.parametrize(
+        "changes, cfg_changes, message",
+        [
+            ({"chosen_candidate": -1}, {}, "chosen_candidate must be >= 0, got -1"),
+            ({"kind": "ml-esn-rae"}, {}, "ml-esn-rae needs n_layers >= 2, got 1"),
+            ({}, {"n_hidden": 31}, "config n_hidden=31 disagrees with the weights (30)"),
+            ({}, {"input_dim": 23}, "config input_dim=23 disagrees with the weights (24)"),
+        ],
+        ids=["negative-draw", "kind", "n_hidden", "input_dim"],
+    )
+    def test_inconsistent_encoder_is_refused(self, trained, changes, cfg_changes, message):
+        from dataclasses import replace
+
+        spec = replace(trained.spec, cfg=replace(trained.spec.cfg, **cfg_changes))
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replace(trained, spec=spec, **changes)
 
 
 def saved_envelope(t, path):

@@ -102,6 +102,25 @@ class TestEncodeCommand:
         assert "n_layers must be >= 1, got 0" in stderr
         assert not out.exists()
 
+    @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
+    def test_non_finite_input_scaling_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, value
+    ):
+        import esnrae.cli as cli_mod
+
+        fitted = []
+        monkeypatch.setattr(cli_mod, "fit", lambda *a: fitted.append(a))
+        train, test = synth_files
+        code, _, stderr = run_cli(
+            ["encode", "--train", train, "--test", test, "--n-hidden", "8",
+             "--connectivity", "0.5", f"--input-scaling={value}",
+             "--out-dir", str(tmp_path / "out")],
+            capsys,
+        )
+        assert code == 2
+        assert f"input_scaling must be a finite number, got {value}" in stderr
+        assert not fitted
+
     def test_help_lists_no_reset_policy(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["encode", "--help"])
@@ -152,6 +171,22 @@ class TestClassifyCommand:
         )
         assert code == 2
         assert "epochs must be in [1, 10000]" in stderr
+
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_reg_lambda_exits_2_before_training(
+        self, synth_files, capsys, monkeypatch, value
+    ):
+        import esnrae.cli as cli_mod
+
+        trained = []
+        monkeypatch.setattr(cli_mod, "train_classifier", lambda *a: trained.append(a))
+        train, test = synth_files
+        code, stdout, stderr = run_cli(
+            ["classify", "--train", train, "--test", test, "--reg-lambda", value], capsys
+        )
+        assert code == 2
+        assert f"reg_lambda must be a finite number, got {value}" in stderr
+        assert not trained and "error rate" not in stdout
 
 
 class TestBenchCommand:
@@ -311,6 +346,29 @@ class TestBenchCommand:
         assert "spec.json" in stderr and next(iter(extra)) in stderr
         assert not fitted
         assert not out.exists() and not list(tmp_path.glob("*_report.*"))
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("reg_lambda", float("nan")), ("input_scaling", float("inf")),
+         ("connectivity", float("-inf")), ("noise_levels", [None, float("nan")])],
+    )
+    def test_non_finite_number_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, key, value
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, **{key: value})
+        with open(spec, encoding="utf-8") as fh:
+            text = fh.read()
+        assert "NaN" in text or "Infinity" in text
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 2
+        name = "snr_db" if key == "noise_levels" else key
+        assert "spec.json" in stderr and f"{name} must be a finite number" in stderr
+        assert not fitted and not out.exists()
 
     def test_n_hidden_numpy_cannot_address_exits_2_before_any_cell(
         self, synth_files, tmp_path, capsys, monkeypatch
