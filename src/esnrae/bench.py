@@ -28,7 +28,7 @@ import io
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -56,21 +56,6 @@ from .reservoir import ReservoirConfig, radius_memo
 _CELL_ERRORS = (ValueError, NumericalError, MemoryError)
 
 RAW_BASELINE = "raw"
-
-CSV_COLUMNS = (
-    "dataset",
-    "method",
-    "snr_db",
-    "run",
-    "seed",
-    "er",
-    "recon_error",
-    "fit_ms",
-    "encode_ms",
-    "classify_ms",
-    "error",
-)
-_TIMING_COLUMNS = ("fit_ms", "encode_ms", "classify_ms")
 
 
 @dataclass(frozen=True)
@@ -103,18 +88,21 @@ class ExperimentSpec:
             if not isinstance(getattr(self, name), (list, tuple)):
                 raise ValueError(f"{name} must be a list, got {getattr(self, name)!r}")
             object.__setattr__(self, name, tuple(getattr(self, name)))
-        if not all(x is None or type(x) in (int, float) for x in self.noise_levels):
-            raise ValueError(
-                f"noise_levels must be a list of numbers or nulls, got {self.noise_levels!r}"
+        # Each level is checked by the NoiseSpec a cell builds from it, and
+        # kept as a float, so the report's spec line reads 10.0 for a JSON 10.
+        try:
+            levels = tuple(
+                level if level is None else float(NoiseSpec(level, self.base_seed).snr_db)
+                for level in self.noise_levels
             )
+        except ValueError as exc:
+            raise ValueError(f"noise_levels must be a list of numbers or nulls ({exc})") from None
+        object.__setattr__(self, "noise_levels", levels)
         # The dataset name names the report files inside the output directory.
         if any(c in self.dataset_name for c in "/\\\0"):
             raise ValueError(
                 f"dataset_name must not hold '/', '\\' or NUL, got {self.dataset_name!r}"
             )
-        for m in self.methods:
-            if m not in KINDS:
-                raise ValueError(f"unknown method {m!r}; expected one of {KINDS}")
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
         if len(set(self.noise_levels)) != len(self.noise_levels):
@@ -124,9 +112,6 @@ class ExperimentSpec:
         # Every value a cell would refuse is refused here, by the cell's own
         # checks; the input length is unknown until the data is read.
         ClassifierParams(reg_lambda=self.reg_lambda, epochs=self.epochs, seed=self.base_seed)
-        for level in self.noise_levels:
-            if level is not None:
-                NoiseSpec(snr_db=level, seed=self.base_seed, targets=self.noise_targets)
         for method in self.methods:
             _validate_kind(method, self.reservoir_config(method, input_dim=1))
 
@@ -163,6 +148,13 @@ class CellResult:
     @property
     def valid(self) -> bool:
         return self.error == "" and self.er is not None
+
+
+# The report's columns are CellResult's fields, in order; each field's
+# annotation (a string, under ``from __future__ import annotations``) picks its text.
+_CSV_TYPES = {f.name: f.type for f in fields(CellResult)}
+CSV_COLUMNS = tuple(_CSV_TYPES)
+_TIMING_COLUMNS = ("fit_ms", "encode_ms", "classify_ms")
 
 
 @dataclass(frozen=True)
@@ -212,10 +204,15 @@ def _noised(
     level: float | None,
     seed: int,
 ) -> tuple[Dataset, Dataset]:
+    """Both splits, with noise at ``level`` added to those ``spec.noise_targets`` names."""
     if level is None:
         return d_train, d_test
-    ns = NoiseSpec(snr_db=level, seed=seed, targets=spec.noise_targets)
-    return inject_noise(d_train, ns), inject_noise(d_test, ns)
+    ns = NoiseSpec(snr_db=level, seed=seed)
+
+    def noised(d: Dataset, split: str) -> Dataset:
+        return inject_noise(d, ns) if spec.noise_targets in (split, "both") else d
+
+    return noised(d_train, "train"), noised(d_test, "test")
 
 
 def _failed(cell: CellResult, exc: Exception) -> CellResult:
@@ -428,8 +425,20 @@ def _csv_text(text: str) -> str:
     return text.replace(",", ";").replace("\n", " ")
 
 
+def _csv_field(cell: CellResult, column: str) -> str:
+    """One cell's text in one column: timings to 3 decimals, other numbers exactly."""
+    value = getattr(cell, column)
+    if column in _TIMING_COLUMNS:
+        return f"{value:.3f}"
+    if _CSV_TYPES[column] == "str":
+        return _csv_text(value)
+    if _CSV_TYPES[column] == "int":
+        return str(value)
+    return _fmt(value)
+
+
 def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) -> None:
-    """Machine-readable long format, one row per cell.
+    """Machine-readable long format, one row per cell and one column per field.
 
     ``include_timings=False`` drops the wall-clock columns, making the output
     byte-identical across process invocations of the same spec.
@@ -439,20 +448,7 @@ def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) 
     buf.write(f"# spec: {json.dumps(asdict(report.spec), sort_keys=True)}\n")
     buf.write(",".join(columns) + "\n")
     for c in report.cells:
-        row = {
-            "dataset": _csv_text(c.dataset),
-            "method": c.method,
-            "snr_db": "" if c.snr_db is None else _fmt(c.snr_db),
-            "run": str(c.run),
-            "seed": str(c.seed),
-            "er": _fmt(c.er),
-            "recon_error": _fmt(c.recon_error),
-            "fit_ms": f"{c.fit_ms:.3f}",
-            "encode_ms": f"{c.encode_ms:.3f}",
-            "classify_ms": f"{c.classify_ms:.3f}",
-            "error": _csv_text(c.error),
-        }
-        buf.write(",".join(row[col] for col in columns) + "\n")
+        buf.write(",".join(_csv_field(c, col) for col in columns) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
 
@@ -549,8 +545,6 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
         if key not in doc:
             raise FormatError(f"{path}: missing required key {key!r}")
     try:
-        if isinstance(doc.get("noise_levels"), list):
-            doc["noise_levels"] = [float(v) if type(v) is int else v for v in doc["noise_levels"]]
         return ExperimentSpec(**doc)
-    except (TypeError, ValueError, OverflowError) as exc:
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: {exc}") from exc

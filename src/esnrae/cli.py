@@ -16,15 +16,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict
-
-import numpy as np
+from dataclasses import asdict, replace
 
 from . import bench as bench_mod
 from .autoencoder import KINDS, RaeTrainSpec, encode, fit, is_multilayer, save_autoencoder
 from .classifier import ClassifierParams, evaluate, train_classifier
 from .data import (
-    Dataset,
     NoiseSpec,
     _stem,
     inject_noise,
@@ -62,17 +59,6 @@ def _require_writable(out_dir: str, paths: tuple[str, ...]) -> None:
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
         if os.path.exists(path) and not os.access(path, os.W_OK):
             raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
-
-
-def _features_as_dataset(features: np.ndarray, source: Dataset) -> Dataset:
-    """Wrap a p x N feature matrix as a dataset so it round-trips as text."""
-    return Dataset(
-        name=source.name,
-        patterns=features,
-        labels=source.labels,
-        label_names=source.label_names,
-        split=source.split,
-    )
 
 
 def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
@@ -128,8 +114,8 @@ def cmd_encode(args) -> int:
 
     stem = os.path.join(args.out_dir, f"{d_train.name}_{args.kind}")
     save_autoencoder(ae, stem + ".esnae")
-    write_ucr(_features_as_dataset(features_train, d_train), stem + "_train_features.csv")
-    write_ucr(_features_as_dataset(features_test, d_test), stem + "_test_features.csv")
+    write_ucr(replace(d_train, patterns=features_train), stem + "_train_features.csv")
+    write_ucr(replace(d_test, patterns=features_test), stem + "_test_features.csv")
     print(f"wrote {stem}.esnae and train/test feature files")
     print(f"reconstruction error: {ae.reconstruction_error:.6g} "
           f"(pre-tying {ae.pre_tying_error:.6g}, network draw {ae.chosen_candidate})")
@@ -204,7 +190,7 @@ def cmd_noise(args) -> int:
         }
     )
     d = parse_ucr(_require_file(args.input))
-    noised = inject_noise(d, NoiseSpec(snr_db=args.snr, seed=args.seed, targets="both"))
+    noised = inject_noise(d, NoiseSpec(snr_db=args.snr, seed=args.seed))
     write_ucr(noised, args.out)
     snr = measured_snr(d, noised)
     label = "inf" if math.isinf(snr) else f"{snr:.3f}"

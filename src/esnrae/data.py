@@ -74,12 +74,9 @@ class NoiseSpec:
 
     snr_db: float
     seed: int
-    targets: str = "both"  # train | test | both
 
     def __post_init__(self):
         check_field_types(self)
-        if self.targets not in ("train", "test", "both"):
-            raise ValueError(f"targets must be train|test|both, got {self.targets!r}")
 
 
 def _split_line(line: str, sep: str | None) -> list[str]:
@@ -256,14 +253,13 @@ def inject_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
 
     For each pattern the noise variance is ``P_signal / 10^(snr_db/10)`` with
     P_signal the mean squared value of that pattern, so heterogeneous patterns
-    are corrupted uniformly in relative terms. Every pattern in a targeted
-    split receives noise; labels are untouched. All-zero patterns get zero
-    noise variance (left unchanged). Deterministic under (seed, split).
+    are corrupted uniformly in relative terms. Every pattern receives noise;
+    labels are untouched. All-zero patterns get zero noise variance (left
+    unchanged). Deterministic under (seed, split): ``d.split`` names the
+    random stream, so each split draws its own noise.
     """
     if d.n_patterns == 0:
         raise ValueError("cannot inject noise into an empty dataset")
-    if spec.targets != "both" and d.split and d.split != spec.targets:
-        return d
     if spec.snr_db >= NOISE_FREE_SNR_DB:
         return d
 
@@ -309,6 +305,8 @@ def make_synthetic(
     """
     if n_train < 2 or n_test < 2 or length < 4:
         raise ValueError("synthetic dataset needs n_train, n_test >= 2 and length >= 4")
+    if not math.isfinite(offset):
+        raise ValueError(f"offset must be a finite number, got {offset!r}")
 
     def build(split: str, count: int) -> Dataset:
         g = SeededRng(seed).child(f"synth/{split}").generator()

@@ -327,16 +327,13 @@ def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
     return raw
 
 
-def _read_block(fh: BinaryIO, what: str = "weight container") -> np.ndarray:
-    """Inverse of :func:`_write_block`; a 1-D array comes back as one row.
-
-    ``what`` names the file kind in the FormatError of a truncated block.
-    """
+def _read_block(fh: BinaryIO) -> np.ndarray:
+    """Inverse of :func:`_write_block`; a 1-D array comes back as one row."""
     header = fh.read(8)
     if len(header) != 8:
-        raise FormatError(f"{what} truncated (block header)")
+        raise FormatError("weight container truncated (block header)")
     rows, cols = struct.unpack("<II", header)
-    raw = _read_exact(fh, rows * cols * 8, f"{what} block data")
+    raw = _read_exact(fh, rows * cols * 8, "weight container block data")
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(rows, cols)
 
 

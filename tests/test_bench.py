@@ -12,9 +12,12 @@ from esnrae import (
     ExperimentReport,
     ExperimentSpec,
     FormatError,
+    NoiseSpec,
     NumericalError,
     emit_csv,
     emit_markdown,
+    inject_noise,
+    parse_ucr_pair,
     ratio_table,
     run_experiment,
     write_ucr,
@@ -226,17 +229,37 @@ class TestRunExperiment:
             small_spec(synth_files, n_layers_ml=1, methods=("ml-elm-ae",))
 
     def test_unknown_method_rejected_before_compute(self, synth_files):
-        with pytest.raises(ValueError, match="unknown method"):
+        with pytest.raises(ValueError, match="unknown autoencoder kind 'transformer'"):
             small_spec(synth_files, methods=("esn-rae", "transformer"))
 
     def test_duplicate_noise_levels_rejected(self, synth_files):
         with pytest.raises(ValueError):
             small_spec(synth_files, noise_levels=(10.0, 10.0))
 
-    @pytest.mark.parametrize("levels", [("10",), (True,), (None, False), (None, [1.0])])
+    @pytest.mark.parametrize(
+        "levels",
+        [("10",), (True,), (None, False), (None, [1.0]),
+         (math.nan,), (None, -math.inf), (np.float64(math.inf),)],
+    )
     def test_non_number_noise_levels_rejected(self, synth_files, levels):
         with pytest.raises(ValueError, match="noise_levels must be a list of numbers or nulls"):
             small_spec(synth_files, noise_levels=levels)
+
+    def test_numpy_scalar_levels_are_stored_as_python_floats(self, tmp_path):
+        spec = ExperimentSpec(
+            train_path="a", test_path="b", noise_levels=[None, np.float64(10.0), np.int64(1)]
+        )
+        assert spec.noise_levels == (None, 10.0, 1.0)
+        assert [type(x) for x in spec.noise_levels[1:]] == [float, float]
+        doc = tmp_path / "spec.json"
+        doc.write_text('{"train_path": "a", "test_path": "b", "noise_levels": [null, 10, 1]}')
+        spec_lines = []
+        for s in (spec, bench_mod.load_spec(str(doc))):
+            out = tmp_path / "r.csv"
+            emit_csv(ExperimentReport(spec=s, dataset="a", cells=(), total_seconds=0.0), str(out))
+            spec_lines.append(out.read_text().split("\n")[0])
+        assert spec_lines[0] == spec_lines[1]
+        assert '"noise_levels": [null, 10.0, 1.0]' in spec_lines[0]
 
     @pytest.mark.parametrize("epochs", [10_001, 2**62])
     def test_epochs_above_bound_rejected(self, epochs):
@@ -252,6 +275,22 @@ def held_bytes(spec, p_train, p_test, input_len):
         f = input_len if method == "raw" else spec.n_hidden
         total += 8 * (p_train * (f + 1) + p_test * f) * len(spec.noise_levels)
     return total
+
+
+class TestNoiseTargets:
+    @pytest.mark.parametrize("targets", ["train", "test", "both"])
+    def test_only_the_targeted_splits_are_noised(self, synth_files, targets):
+        spec = small_spec(synth_files, noise_levels=(None, 10.0), noise_targets=targets)
+        clean = parse_ucr_pair(spec.train_path, spec.test_path, normalized=True)
+        noised = bench_mod._noised(spec, *clean, 10.0, 3)
+        for split, d, got in zip(("train", "test"), clean, noised):
+            if targets in (split, "both"):
+                # The split's own noise stream, as inject_noise draws it alone.
+                expected = inject_noise(d, NoiseSpec(snr_db=10.0, seed=3)).patterns
+                assert not np.array_equal(got.patterns, d.patterns)
+                assert got.patterns.tobytes() == expected.tobytes()
+            else:
+                assert got.patterns.tobytes() == d.patterns.tobytes()
 
 
 class TestRunBatches:
@@ -481,6 +520,49 @@ class TestEmission:
         assert row["dataset"] == "a;b c"
         assert (row["method"], row["snr_db"], row["run"], row["er"]) == ("elm-ae", "", "0", "0.25")
 
+    @pytest.mark.parametrize("include_timings", [True, False])
+    def test_every_column_text_is_pinned(self, tmp_path, include_timings):
+        cells = (
+            CellResult(
+                dataset="x", method="esn-rae", snr_db=None, run=0, seed=7, er=0.25,
+                recon_error=0.0123, fit_ms=1.23456, encode_ms=2.0, classify_ms=0.0004,
+            ),
+            CellResult(
+                dataset="x", method="esn-rae", snr_db=10.0, run=1, seed=8, er=0.1,
+                recon_error=1e-20, fit_ms=10.5, encode_ms=0.0, classify_ms=3.14159,
+            ),
+            CellResult(
+                dataset="x", method="raw", snr_db=10.0, run=0, seed=7,
+                error="NumericalError: bad, bad\nnetwork",
+            ),
+        )
+        spec = ExperimentSpec(
+            train_path="x_TRAIN.txt", test_path="x_TEST.txt", methods=("esn-rae",),
+            n_runs=2, noise_levels=(None, 10.0),
+        )
+        report = ExperimentReport(spec=spec, dataset="x", cells=cells, total_seconds=0.0)
+        out = tmp_path / "r.csv"
+        emit_csv(report, str(out), include_timings=include_timings)
+        lines = out.read_text().split("\n")
+        assert lines[0].startswith("# spec: {")
+        if include_timings:
+            expected = [
+                "dataset,method,snr_db,run,seed,er,recon_error,fit_ms,encode_ms,classify_ms,error",
+                "x,esn-rae,,0,7,0.25,0.0123,1.235,2.000,0.000,",
+                "x,esn-rae,10.0,1,8,0.1,1e-20,10.500,0.000,3.142,",
+                "x,raw,10.0,0,7,,,0.000,0.000,0.000,NumericalError: bad; bad network",
+                "",
+            ]
+        else:
+            expected = [
+                "dataset,method,snr_db,run,seed,er,recon_error,error",
+                "x,esn-rae,,0,7,0.25,0.0123,",
+                "x,esn-rae,10.0,1,8,0.1,1e-20,",
+                "x,raw,10.0,0,7,,,NumericalError: bad; bad network",
+                "",
+            ]
+        assert lines[1:] == expected
+
     def test_non_utf8_csv_is_a_format_error_naming_it(self, tmp_path):
         from esnrae import FormatError
 
@@ -603,7 +685,9 @@ class TestLoadSpec:
 
         path = tmp_path / "spec.json"
         path.write_text('{"train_path": "a", "test_path": "b", "noise_levels": [1' + "0" * 400 + "]}")
-        with pytest.raises(FormatError, match=r"spec\.json: int too large"):
+        with pytest.raises(
+            FormatError, match=r"spec\.json: noise_levels must be a list of numbers or nulls"
+        ):
             bench_mod.load_spec(str(path))
 
     def test_deeply_nested_json_is_a_format_error(self, tmp_path):

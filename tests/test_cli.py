@@ -622,6 +622,14 @@ class TestSynthCommand:
         assert train.input_len == 24
         assert train.n_classes == 2
 
+    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
+    def test_non_finite_offset_exits_2_writing_nothing(self, tmp_path, capsys, offset):
+        out = tmp_path / "synthdir"
+        code, _, stderr = run_cli(["synth", "--out-dir", str(out), f"--offset={offset}"], capsys)
+        assert code == 2
+        assert "offset" in stderr
+        assert not out.exists()
+
 
 class TestEntryPoint:
     def test_module_invocation(self, synth_files):
