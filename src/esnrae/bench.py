@@ -5,8 +5,9 @@ single train/test dataset pair. Each run r uses seed ``base_seed + r`` for
 the weight draws and for the noise draws, so any cell is reproducible in
 isolation and noise is re-sampled per run. All methods within one (level,
 run) see the same corrupted data. Cells run serially in one process, so each
-cell's timing columns measure that cell alone; the report follows the spec's
-grid order.
+cell's timing columns measure that cell alone. The report's cells are laid
+out in the spec's grid order (method, then level, then run) before any fit,
+and each stage fills its cell's slot in place.
 
 The pipeline per cell: parse -> z-score with train statistics (optional) ->
 inject noise into the targeted splits -> fit autoencoder on train -> encode
@@ -105,6 +106,8 @@ class ExperimentSpec:
             )
         if self.n_runs < 1:
             raise ValueError(f"n_runs must be >= 1, got {self.n_runs}")
+        if not self.noise_levels:
+            raise ValueError("noise_levels must not be empty")
         if len(set(self.noise_levels)) != len(self.noise_levels):
             raise ValueError("noise levels must be distinct")
         if self.noise_targets not in ("train", "test", "both"):
@@ -114,6 +117,10 @@ class ExperimentSpec:
         ClassifierParams(reg_lambda=self.reg_lambda, epochs=self.epochs, seed=self.base_seed)
         for method in self.methods:
             _validate_kind(method, self.reservoir_config(method, input_dim=1))
+        if len(set(self.methods)) != len(self.methods):
+            raise ValueError("methods must be distinct")
+        if not self.all_methods():
+            raise ValueError("methods must not be empty when raw_baseline is false")
 
     def all_methods(self) -> tuple[str, ...]:
         return self.methods + ((RAW_BASELINE,) if self.raw_baseline else ())
@@ -219,34 +226,24 @@ def _failed(cell: CellResult, exc: Exception) -> CellResult:
     return replace(cell, error=f"{type(exc).__name__}: {exc}")
 
 
-# A cell between encoding and classification: its result so far and, unless
-# encoding failed, its standardized training design and its test features
-# (one row per pattern).
-_Encoded = tuple[CellResult, tuple[Standardized, np.ndarray] | None]
-
-
 def _encode_cell(
     spec: ExperimentSpec,
-    dataset: str,
-    method: str,
-    level: float | None,
-    run: int,
+    cell: CellResult,
     d_train: Dataset,
     d_test: Dataset,
-) -> _Encoded:
+) -> tuple[CellResult, tuple[Standardized, np.ndarray] | None]:
     """Fit one cell's autoencoder and encode both splits with it.
 
-    Keeps only the standardized training design and the test features; the
-    autoencoder and its training features are dropped here.
+    Returns the cell with its fit results and, unless encoding failed, its
+    standardized training design and its test features (one row per
+    pattern); the autoencoder and its training features are dropped here.
     """
-    seed = spec.base_seed + run
-    cell = CellResult(dataset=dataset, method=method, snr_db=level, run=run, seed=seed)
     try:
-        if method == RAW_BASELINE:
+        if cell.method == RAW_BASELINE:
             return cell, (standardize(d_train.patterns), d_test.patterns)
-        cfg = spec.reservoir_config(method, d_train.input_len)
+        cfg = spec.reservoir_config(cell.method, d_train.input_len)
         t0 = time.perf_counter()
-        ae, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=seed), method)
+        ae, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=cell.seed), cell.method)
         fit_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
         f_test = encode(ae, d_test)
@@ -262,46 +259,45 @@ def _encode_cell(
 
 def _classify(
     spec: ExperimentSpec,
-    encoded: list[_Encoded],
+    cells: list[CellResult],
+    held: list[tuple[int, Standardized, np.ndarray]],
     y_train: np.ndarray,
     y_test: np.ndarray,
-) -> list[CellResult]:
+) -> None:
     """Train the classifiers of a batch's encoded cells in one pass, then score each.
 
-    Every cell trains on ``y_train`` with its run's seed and is scored on
-    ``y_test``. The encoders' designs go first and the raw designs last, so
-    that designs of one width are adjacent in the pass. A cell's
-    ``classify_ms`` is its evaluation time plus an equal share of the shared
-    training pass.
+    ``held`` names each encoded cell by its index in ``cells``, with its
+    training design and test features; each scored or failed cell is written
+    back to its slot. Every cell trains on ``y_train`` with its run's seed
+    and is scored on ``y_test``. The encoders' designs go first and the raw
+    designs last, so that designs of one width are adjacent in the pass. A
+    cell's ``classify_ms`` is its evaluation time plus an equal share of the
+    shared training pass.
     """
-    done = [cell for cell, _ in encoded]
-    ready = [i for i, (_, data) in enumerate(encoded) if data is not None]
-    if not ready:
-        return done
-    ready.sort(key=lambda i: done[i].method == RAW_BASELINE)
+    if not held:
+        return
+    held = sorted(held, key=lambda h: cells[h[0]].method == RAW_BASELINE)
     params = [
-        ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=done[i].seed)
-        for i in ready
+        ClassifierParams(reg_lambda=spec.reg_lambda, epochs=spec.epochs, seed=cells[i].seed)
+        for i, _, _ in held
     ]
     t0 = time.perf_counter()
     try:
-        classifiers = train_classifiers([encoded[i][1][0] for i in ready], y_train, params)
+        classifiers = train_classifiers([design for _, design, _ in held], y_train, params)
     except _CELL_ERRORS as exc:
-        for i in ready:
-            done[i] = _failed(done[i], exc)
-        return done
-    share_ms = (time.perf_counter() - t0) * 1e3 / len(ready)
-    for i, clf in zip(ready, classifiers):
-        f_test = encoded[i][1][1]
+        for i, _, _ in held:
+            cells[i] = _failed(cells[i], exc)
+        return
+    share_ms = (time.perf_counter() - t0) * 1e3 / len(held)
+    for (i, _, f_test), clf in zip(held, classifiers):
         t0 = time.perf_counter()
         try:
             result = evaluate(clf, f_test, y_test)
         except _CELL_ERRORS as exc:
-            done[i] = _failed(done[i], exc)
+            cells[i] = _failed(cells[i], exc)
             continue
         classify_ms = share_ms + (time.perf_counter() - t0) * 1e3
-        done[i] = replace(done[i], er=result.error_rate, classify_ms=classify_ms)
-    return done
+        cells[i] = replace(cells[i], er=result.error_rate, classify_ms=classify_ms)
 
 
 # Most bytes of features one batch of runs holds: each cell's (p_train, F+1)
@@ -320,12 +316,12 @@ def _run_batches(spec: ExperimentSpec, p_train: int, p_test: int, input_len: int
     for method in spec.all_methods():
         f = input_len if method == RAW_BASELINE else spec.n_hidden
         run_bytes += 8 * (p_train * (f + 1) + p_test * f) * len(spec.noise_levels)
-    size = max(1, _BATCH_BYTES // max(run_bytes, 1))  # an empty grid holds nothing
+    size = max(1, _BATCH_BYTES // run_bytes)
     return [range(r, min(r + size, spec.n_runs)) for r in range(0, spec.n_runs, size)]
 
 
 def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
-    """Execute the full grid and return the merged report.
+    """Execute the full grid and return its report, in grid order.
 
     Runs go in batches (see :func:`_run_batches`): the batch's cells are
     encoded one after another, its classifiers train in one
@@ -338,44 +334,43 @@ def run_experiment(spec: ExperimentSpec) -> ExperimentReport:
     )
     dataset = d_train.name
     grid = [(method, level) for method in spec.all_methods() for level in spec.noise_levels]
+    # The report's cells, in grid order: slot g * n_runs + run is (grid[g], run).
+    cells = [
+        CellResult(dataset=dataset, method=method, snr_db=level, run=run,
+                   seed=spec.base_seed + run)
+        for method, level in grid
+        for run in range(spec.n_runs)
+    ]
     # A multi-layer fit needs the most memory, so those cells are encoded
     # first in each run, while the fewest other cells' features are held.
-    encode_order = sorted(grid, key=lambda cell: not is_multilayer(cell[0]))
+    encode_order = sorted(range(len(grid)), key=lambda g: not is_multilayer(grid[g][0]))
     batches = _run_batches(spec, d_train.n_patterns, d_test.n_patterns, d_train.input_len)
 
     # A recurrent draw depends only on (seed, stream, N, beta), so cells that
     # differ only in noise level or method share the spectral radius of their
     # draws. The memo closes with this call, even when a cell raises.
-    cells: list[CellResult] = []
     with radius_memo():
         for batch in batches:
-            encoded: list[_Encoded] = []
+            held: list[tuple[int, Standardized, np.ndarray]] = []
             for run in batch:
-                seed = spec.base_seed + run
                 # All methods within one (level, run) see the same corrupted data.
                 noised = {
-                    level: _noised(spec, d_train, d_test, level, seed)
+                    level: _noised(spec, d_train, d_test, level, spec.base_seed + run)
                     for level in spec.noise_levels
                 }
-                encoded += [
-                    _encode_cell(spec, dataset, method, level, run, *noised[level])
-                    for method, level in encode_order
-                ]
+                for g in encode_order:
+                    i = g * spec.n_runs + run
+                    cells[i], data = _encode_cell(spec, cells[i], *noised[grid[g][1]])
+                    if data is not None:
+                        held.append((i, *data))
                 del noised
-            cells += _classify(spec, encoded, d_train.labels, d_test.labels)
-            del encoded
+            _classify(spec, cells, held, d_train.labels, d_test.labels)
+            del held
 
-    # Keyed merge: report order follows the spec's grid, not encoding order.
-    by_key = {(c.method, c.snr_db, c.run): c for c in cells}
-    ordered = tuple(
-        by_key[(method, level, run)]
-        for method, level in grid
-        for run in range(spec.n_runs)
-    )
     return ExperimentReport(
         spec=spec,
         dataset=dataset,
-        cells=ordered,
+        cells=tuple(cells),
         total_seconds=time.perf_counter() - t_start,
     )
 

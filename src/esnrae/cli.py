@@ -268,8 +268,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--methods", default=None, help="comma-separated method subset")
     p.add_argument("--preset", default=None, help="override reservoir size/connectivity")
-    p.add_argument("--noise-targets", default=None, choices=("train", "test", "both"),
-                   help="which splits receive noise")
+    p.add_argument("--noise-targets", default=None, help="which splits receive noise")
     p.add_argument("--no-timings", action="store_true",
                    help="omit wall-clock columns for byte-identical replays")
     p.set_defaults(func=cmd_bench)

@@ -316,6 +316,51 @@ class TestRunBatches:
         # Each batch is as large as the cap allows.
         assert len(batches) == 1 or (batches[0].stop + 1) * run_bytes > bench_mod._BATCH_BYTES
 
+    def test_report_rows_follow_the_grid_across_batches(self, synth_files, tmp_path, monkeypatch):
+        spec = small_spec(synth_files, n_runs=3, noise_levels=(None, 10.0))
+        monkeypatch.setattr(bench_mod, "_BATCH_BYTES", 2 * held_bytes(spec, 40, 40, 32))
+        assert [len(b) for b in bench_mod._run_batches(spec, 40, 40, 32)] == [2, 1]
+        # The noise level of each training split a fit sees (the clean split is
+        # passed through as it is).
+        level_of = {}
+        fits = []
+        real_noised, real_fit = bench_mod._noised, bench_mod.fit
+
+        def noised(spec_, d_train, d_test, level, seed):
+            pair = real_noised(spec_, d_train, d_test, level, seed)
+            level_of[id(pair[0])] = level
+            return pair
+
+        def fitting(d, train_spec, kind):
+            fits.append((kind, level_of[id(d)], train_spec.seed))
+            return real_fit(d, train_spec, kind)
+
+        monkeypatch.setattr(bench_mod, "_noised", noised)
+        monkeypatch.setattr(bench_mod, "fit", fitting)
+        report = run_experiment(spec)
+        assert not report.invalid_cells
+        # Each run's encoders fit on that run's data at each level, run by run.
+        assert fits == [
+            (method, level, run)
+            for run in range(3)
+            for method in ("esn-rae", "elm-ae")
+            for level in (None, 10.0)
+        ]
+        # The report lists method, then level, then run, whatever the batches.
+        grid = [
+            (method, level, run)
+            for method in ("esn-rae", "elm-ae", "raw")
+            for level in (None, 10.0)
+            for run in range(3)
+        ]
+        assert [(c.method, c.snr_db, c.run) for c in report.cells] == grid
+        path = tmp_path / "report.csv"
+        emit_csv(report, str(path), include_timings=False)
+        assert [(r["method"], r["snr_db"], r["run"]) for r in parse_csv(str(path))] == [
+            (method, "" if level is None else repr(level), str(run))
+            for method, level, run in grid
+        ]
+
     def test_split_report_equals_unshared_cells(self, synth_files, monkeypatch):
         from esnrae import parse_ucr_pair
 
@@ -341,10 +386,12 @@ class TestRunBatches:
         d_train, d_test = parse_ucr_pair(spec.train_path, spec.test_path, normalized=spec.normalize)
         for cell in report.cells:
             dtr, dte = bench_mod._noised(spec, d_train, d_test, cell.snr_db, cell.seed)
-            encoded = bench_mod._encode_cell(
-                spec, report.dataset, cell.method, cell.snr_db, cell.run, dtr, dte
-            )
-            (alone,) = bench_mod._classify(spec, [encoded], dtr.labels, dte.labels)
+            fresh = CellResult(dataset=report.dataset, method=cell.method,
+                               snr_db=cell.snr_db, run=cell.run, seed=cell.seed)
+            encoded, data = bench_mod._encode_cell(spec, fresh, dtr, dte)
+            slots = [encoded]
+            bench_mod._classify(spec, slots, [(0, *data)], dtr.labels, dte.labels)
+            (alone,) = slots
             assert (alone.er, alone.recon_error) == (cell.er, cell.recon_error)
 
 

@@ -226,6 +226,30 @@ class TestBenchCommand:
         assert code == 2
         assert "hologram" in stderr
 
+    @pytest.mark.parametrize(
+        "flag, value, message",
+        [
+            ("--methods", "esn-rae,esn-rae", "methods must be distinct"),
+            ("--noise-targets", "sideways", "noise_targets must be train|test|both, got 'sideways'"),
+        ],
+        ids=["repeated-method", "unknown-noise-targets"],
+    )
+    def test_flag_the_spec_refuses_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, flag, value, message
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["bench", "--spec", spec, "--out-dir", str(out), flag, value], capsys
+        )
+        assert code == 2
+        assert "spec.json" in stderr and message in stderr
+        assert not fitted and not out.exists()
+
     def test_ill_typed_methods_exit_2_naming_the_spec(self, synth_files, tmp_path, capsys):
         spec = self.write_spec(tmp_path, synth_files, methods=5)
         code, _, stderr = run_cli(["bench", "--spec", spec], capsys)
@@ -329,6 +353,9 @@ class TestBenchCommand:
             {"dataset_name": "../escape"},
             {"test_path": True},
             {"methods": "esn-rae"},
+            {"methods": ["esn-rae", "esn-rae"]},
+            {"methods": [], "raw_baseline": False},
+            {"noise_levels": []},
         ],
         ids=lambda extra: f"{extra}",
     )

@@ -30,6 +30,7 @@ from esnrae import (
     write_ucr,
 )
 from esnrae.autoencoder import RaeTrainSpec, fit
+from esnrae.bench import CellResult
 from esnrae.classifier import (
     ClassifierParams,
     Standardized,
@@ -234,10 +235,12 @@ class TestGridSharesRadii:
         )
         for cell in report.cells:
             dtr, dte = bench_mod._noised(spec, d_train, d_test, cell.snr_db, cell.seed)
-            encoded = bench_mod._encode_cell(
-                spec, report.dataset, cell.method, cell.snr_db, cell.run, dtr, dte
-            )
-            (alone,) = bench_mod._classify(spec, [encoded], dtr.labels, dte.labels)
+            fresh = CellResult(dataset=report.dataset, method=cell.method,
+                               snr_db=cell.snr_db, run=cell.run, seed=cell.seed)
+            encoded, data = bench_mod._encode_cell(spec, fresh, dtr, dte)
+            slots = [encoded]
+            bench_mod._classify(spec, slots, [(0, *data)], dtr.labels, dte.labels)
+            (alone,) = slots
             assert (alone.er, alone.recon_error) == (cell.er, cell.recon_error)
 
     def test_memo_open_during_the_grid_and_gone_after(self, synth_files, monkeypatch):
