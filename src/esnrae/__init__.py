@@ -8,7 +8,6 @@ UCR-style classification datasets under clean and Gaussian-noise conditions.
 
 from .autoencoder import (
     KINDS,
-    RaeTrainSpec,
     TrainedAutoencoder,
     encode,
     fit,

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import json
 import struct
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 from typing import BinaryIO
 
 import numpy as np
@@ -32,6 +32,7 @@ from .reservoir import (
     EsnWeights,
     ReservoirConfig,
     _read_exact,
+    _recurrent_layers,
     init_weights,
     load_weights,
     run_collect,
@@ -50,19 +51,8 @@ def is_multilayer(kind: str) -> bool:
 
 
 @dataclass(frozen=True)
-class RaeTrainSpec:
-    """Everything needed to train one autoencoder reproducibly."""
-
-    cfg: ReservoirConfig
-    seed: int = 0
-
-    def __post_init__(self):
-        check_field_types(self)
-
-
-@dataclass(frozen=True)
 class TrainedAutoencoder:
-    """A fitted encoder: tied weights and how well they reconstruct.
+    """A fitted encoder: tied weights, how well they reconstruct, and their origin.
 
     ``weights.w_in[:, 1:]`` holds the transpose of the chosen draw's readout,
     entry-exact. ``reconstruction_error`` is the residual of the readout
@@ -71,6 +61,8 @@ class TrainedAutoencoder:
     exactly ``0.0`` when its states have full row rank, where the readout
     interpolates every pattern. ``chosen_candidate`` is the index of the draw
     used, which is also the number of unusable draws skipped before it.
+    ``config`` and ``seed`` are what :func:`fit` drew the network from. The
+    fields other than ``weights`` are the envelope's metadata keys.
     """
 
     kind: str
@@ -78,17 +70,22 @@ class TrainedAutoencoder:
     reconstruction_error: float
     pre_tying_error: float
     chosen_candidate: int
-    spec: RaeTrainSpec
+    config: ReservoirConfig
+    seed: int
 
     def __post_init__(self):
         check_field_types(self)
-        _validate_kind(self.kind, self.spec.cfg)
+        _validate_kind(self.kind, self.config)
         if self.chosen_candidate < 0:
             raise ValueError(f"chosen_candidate must be >= 0, got {self.chosen_candidate}")
         for key in ("n_hidden", "input_dim", "n_layers"):
-            value, actual = getattr(self.spec.cfg, key), getattr(self.weights, key)
+            value, actual = getattr(self.config, key), getattr(self.weights, key)
             if value != actual:
                 raise ValueError(f"config {key}={value!r} disagrees with the weights ({actual})")
+        need = "recurrent" if is_recurrent(self.kind) else "feed-forward"
+        layers = ["recurrent" if r else "feed-forward" for r in _recurrent_layers(self.weights)]
+        if set(layers) != {need}:
+            raise ValueError(f"{self.kind} needs {need} layers, got {layers}")
 
 
 def train_readout(h: np.ndarray, targets: np.ndarray) -> tuple[np.ndarray, int]:
@@ -141,31 +138,35 @@ def _validate_kind(kind: str, cfg: ReservoirConfig) -> None:
 MAX_DRAWS = 10
 
 
-def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> tuple[TrainedAutoencoder, np.ndarray]:
+def fit(
+    d_train: Dataset, config: ReservoirConfig, kind: str, seed: int = 0
+) -> tuple[TrainedAutoencoder, np.ndarray]:
     """Train one autoencoder of the given kind; returns it and its train features.
 
-    Draws networks from the streams ``cand0``, ``cand1``, ... and keeps the
-    first whose draw, states and readout raise no NumericalError; after
-    :data:`MAX_DRAWS` unusable draws it raises TrainingError. Then ties the
-    input weights to that readout's transpose and recomputes all layer states
-    in one pass; the last layer's states (p x N) are the train features.
+    Draws networks from the streams ``cand0``, ``cand1``, ... of
+    ``SeededRng(seed)``, which refuses a seed outside the signed 64-bit range
+    before any draw, and keeps the first whose draw, states and readout raise
+    no NumericalError; after :data:`MAX_DRAWS` unusable draws it raises
+    TrainingError. Then ties the input weights to that readout's transpose and
+    recomputes all layer states in one pass; the last layer's states (p x N)
+    are the train features.
     A readout on states of full row rank p interpolates, so its error is
     recorded as exactly 0.0 without a residual or, after tying, a refit.
     """
-    _validate_kind(kind, spec.cfg)
-    if spec.cfg.input_dim != d_train.input_len:
+    _validate_kind(kind, config)
+    if config.input_dim != d_train.input_len:
         raise ValueError(
-            f"config input_dim {spec.cfg.input_dim} != dataset length "
+            f"config input_dim {config.input_dim} != dataset length "
             f"{d_train.input_len}"
         )
     targets = d_train.patterns  # outputs are set equal to the inputs
     p = len(targets)
-    base = SeededRng(spec.seed)
+    base = SeededRng(seed)
     recurrent = is_recurrent(kind)
 
     for chosen in range(MAX_DRAWS):
         try:
-            wts = init_weights(spec.cfg, base.child(f"cand{chosen}"), recurrent=recurrent)
+            wts = init_weights(config, base.child(f"cand{chosen}"), recurrent=recurrent)
             h = run_collect(wts, targets)
             # Tying keeps only the bias column of the drawn input map.
             wts = replace(wts, w_in=wts.w_in[:, :1].copy())
@@ -190,7 +191,8 @@ def fit(d_train: Dataset, spec: RaeTrainSpec, kind: str) -> tuple[TrainedAutoenc
         reconstruction_error=final_err,
         pre_tying_error=pre_tying_error,
         chosen_candidate=chosen,
-        spec=spec,
+        config=config,
+        seed=seed,
     ), h
 
 
@@ -210,20 +212,13 @@ def encode(t: TrainedAutoencoder, d: Dataset) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 _MAGIC = b"ESNRAE\x00\x03"
-_META_KEYS = {"kind", "seed", "reconstruction_error", "pre_tying_error", "chosen_candidate",
-              "config"}
+_META_KEYS = {f.name for f in fields(TrainedAutoencoder)} - {"weights"}
 
 
 def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
     """Write a trained encoder (metadata and weights) to disk."""
-    meta = {
-        "kind": t.kind,
-        "seed": t.spec.seed,
-        "reconstruction_error": t.reconstruction_error,
-        "pre_tying_error": t.pre_tying_error,
-        "chosen_candidate": t.chosen_candidate,
-        "config": asdict(t.spec.cfg),
-    }
+    meta = {key: getattr(t, key) for key in _META_KEYS}
+    meta["config"] = asdict(t.config)
     blob = json.dumps(meta, sort_keys=True).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_MAGIC)
@@ -253,8 +248,9 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
     A file that is not a complete, self-consistent envelope raises
     FormatError; that includes bytes after the weight container, metadata
     whose reservoir config disagrees with the stored weight dimensions, a kind
-    whose layer count disagrees with the weights, ill-typed training metadata
-    and any top-level key that :func:`save_autoencoder` does not write.
+    whose layer count or recurrence disagrees with the weights, ill-typed or
+    missing training metadata and any top-level key that
+    :func:`save_autoencoder` does not write.
     """
     with open(path, "rb") as fh:
         magic = fh.read(len(_MAGIC))
@@ -268,13 +264,7 @@ def load_autoencoder(path: str) -> TrainedAutoencoder:
     if unknown:
         raise FormatError(f"{path}: unknown encoder metadata keys {unknown}")
     try:
-        return TrainedAutoencoder(
-            kind=meta["kind"],
-            weights=weights,
-            reconstruction_error=meta["reconstruction_error"],
-            pre_tying_error=meta["pre_tying_error"],
-            chosen_candidate=meta["chosen_candidate"],
-            spec=RaeTrainSpec(cfg=ReservoirConfig(**meta["config"]), seed=meta["seed"]),
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        meta["config"] = ReservoirConfig(**meta["config"])
+        return TrainedAutoencoder(weights=weights, **meta)
+    except (TypeError, ValueError) as exc:
         raise FormatError(f"{path}: invalid encoder metadata: {exc!r}") from exc

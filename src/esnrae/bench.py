@@ -35,7 +35,6 @@ import numpy as np
 
 from .autoencoder import (
     KINDS,
-    RaeTrainSpec,
     _validate_kind,
     encode,
     fit,
@@ -114,7 +113,8 @@ class ExperimentSpec:
             raise ValueError(f"noise_targets must be train|test|both, got {self.noise_targets!r}")
         # Every value a cell would refuse is refused here, by the cell's own
         # checks; the input length is unknown until the data is read.
-        ClassifierParams(reg_lambda=self.reg_lambda, epochs=self.epochs, seed=self.base_seed)
+        last_seed = self.base_seed + self.n_runs - 1  # the largest seed a cell uses
+        ClassifierParams(reg_lambda=self.reg_lambda, epochs=self.epochs, seed=last_seed)
         for method in self.methods:
             _validate_kind(method, self.reservoir_config(method, input_dim=1))
         if len(set(self.methods)) != len(self.methods):
@@ -243,7 +243,7 @@ def _encode_cell(
             return cell, (standardize(d_train.patterns), d_test.patterns)
         cfg = spec.reservoir_config(cell.method, d_train.input_len)
         t0 = time.perf_counter()
-        ae, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=cell.seed), cell.method)
+        ae, f_train = fit(d_train, cfg, cell.method, cell.seed)
         fit_ms = (time.perf_counter() - t0) * 1e3
         t0 = time.perf_counter()
         f_test = encode(ae, d_test)
@@ -415,9 +415,14 @@ def _level_label(level: float | None) -> str:
     return "clean" if level is None else f"{level:g} dB"
 
 
+# The csv's separator becomes ";" and each line break str.splitlines knows a space.
+_LINE_BREAKS = "\n\r\v\f\x1c\x1d\x1e\x85\u2028\u2029"
+_CSV_TEXT = str.maketrans({",": ";", **dict.fromkeys(_LINE_BREAKS, " ")})
+
+
 def _csv_text(text: str) -> str:
     """A free-text field with the csv's separator and line breaks replaced."""
-    return text.replace(",", ";").replace("\n", " ")
+    return text.translate(_CSV_TEXT)
 
 
 def _csv_field(cell: CellResult, column: str) -> str:

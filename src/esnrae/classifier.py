@@ -297,8 +297,7 @@ def evaluate(
         raise ValueError(f"label {bad[0]} out of range for {c.n_classes}-class classifier")
     total = labels.shape[0]
     confusion = np.zeros((c.n_classes, c.n_classes), dtype=int)
-    for truth, pred in zip(labels, predictions):
-        confusion[truth, pred] += 1
+    np.add.at(confusion, (labels, predictions), 1)
     misclassified = int(total - np.trace(confusion))
     return EvalResult(
         error_rate=misclassified / total,

@@ -19,7 +19,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import bench as bench_mod
-from .autoencoder import KINDS, RaeTrainSpec, encode, fit, is_multilayer, save_autoencoder
+from .autoencoder import KINDS, encode, fit, is_multilayer, save_autoencoder
 from .classifier import ClassifierParams, evaluate, train_classifier
 from .data import (
     NoiseSpec,
@@ -90,7 +90,6 @@ def cmd_encode(args) -> int:
         _require_file(args.train), _require_file(args.test), normalized=args.normalize
     )
     cfg = _resolve_reservoir(args, d_train.input_len)
-    spec = RaeTrainSpec(cfg=cfg, seed=args.seed)
     _echo(
         {
             "command": "encode",
@@ -103,13 +102,13 @@ def cmd_encode(args) -> int:
             "spectral_radius": cfg.spectral_radius_target,
             "n_layers": cfg.n_layers,
             "input_scaling": cfg.input_scaling,
-            "seed": spec.seed,
+            "seed": args.seed,
             "out_dir": args.out_dir,
         }
     )
     os.makedirs(args.out_dir, exist_ok=True)
 
-    ae, features_train = fit(d_train, spec, args.kind)
+    ae, features_train = fit(d_train, cfg, args.kind, args.seed)
     features_test = encode(ae, d_test)
 
     stem = os.path.join(args.out_dir, f"{d_train.name}_{args.kind}")

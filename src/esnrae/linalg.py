@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import NumericalError
+from .errors import NumericalError, check_field_types
 
 _MASK64 = (1 << 64) - 1
 
@@ -27,10 +27,15 @@ class SeededRng:
     (SHA-256 stream hashing -> SeedSequence -> PCG64). Derive one child per
     random object; a stream is a fresh sequence each time ``generator()`` is
     called, so never draw from the same stream twice for different purposes.
+    The seed must lie in the signed 64-bit range, so no two seeds share a
+    sequence; a negative seed is taken modulo 2**64.
     """
 
     seed: int
     stream: str = ""
+
+    def __post_init__(self):
+        check_field_types(self)
 
     def child(self, name: str) -> "SeededRng":
         """Return the sub-stream ``name`` rooted at this stream."""

@@ -16,7 +16,6 @@ from esnrae import (
     ExperimentReport,
     ExperimentSpec,
     NoiseSpec,
-    RaeTrainSpec,
     ReservoirConfig,
     SeededRng,
     emit_csv,
@@ -182,7 +181,7 @@ class TestCriterion1PropertySuite:
         for kind in ALL_KINDS:
             layers = 2 if kind.startswith("ml") else 1
             cfg = ReservoirConfig(n_hidden=15, input_dim=20, connectivity=0.2, n_layers=layers)
-            t, _ = fit(d, RaeTrainSpec(cfg=cfg, seed=107), kind)
+            t, _ = fit(d, cfg, kind, 107)
             draw = init_weights(
                 cfg,
                 SeededRng(107).child(f"cand{t.chosen_candidate}"),
@@ -383,7 +382,7 @@ class TestCriterion7FeatureRangeAndSparsity:
                 input_dim=d_train.input_len,
                 connectivity=preset["connectivity"],
             )
-            t, f_train = fit(d_train, RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
+            t, f_train = fit(d_train, cfg, "esn-rae", 0)
             features = np.vstack([f_train, encode(t, d_test)])
             in_range = np.abs(features).max() < 1.0
             near_zero = float(np.mean(np.abs(features) < 0.05))
@@ -426,7 +425,7 @@ class TestPublishedShapes:
             input_dim=136,
             connectivity=preset["connectivity"],
         )
-        t, _ = fit(normalize(train, train), RaeTrainSpec(cfg=cfg, seed=0), "esn-rae")
+        t, _ = fit(normalize(train, train), cfg, "esn-rae", 0)
         features = encode(t, normalize(test, train))
         assert features.shape == (861, 100)
 

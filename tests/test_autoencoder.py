@@ -12,7 +12,6 @@ from esnrae import (
     DegenerateMatrixError,
     FormatError,
     NumericalError,
-    RaeTrainSpec,
     ReservoirConfig,
     SeededRng,
     TrainingError,
@@ -37,17 +36,14 @@ def random_dataset(p=40, k=24, seed=0, split="train", classes=2):
     )
 
 
-def train_spec(n=30, k=24, beta=0.2, layers=1, seed=0):
-    cfg = ReservoirConfig(
-        n_hidden=n, input_dim=k, connectivity=beta, n_layers=layers
-    )
-    return RaeTrainSpec(cfg=cfg, seed=seed)
+def train_config(n=30, k=24, beta=0.2, layers=1):
+    return ReservoirConfig(n_hidden=n, input_dim=k, connectivity=beta, n_layers=layers)
 
 
 def chosen_draw_and_readout(t, d):
     """The chosen draw's weights and readout, recomputed from its stream."""
-    rng = SeededRng(t.spec.seed).child(f"cand{t.chosen_candidate}")
-    wts = ae_mod.init_weights(t.spec.cfg, rng, recurrent=ae_mod.is_recurrent(t.kind))
+    rng = SeededRng(t.seed).child(f"cand{t.chosen_candidate}")
+    wts = ae_mod.init_weights(t.config, rng, recurrent=ae_mod.is_recurrent(t.kind))
     return wts, train_readout(ae_mod.run_collect(wts, d.patterns), d.patterns)[0]
 
 
@@ -127,14 +123,14 @@ class TestFit:
     def test_tying_is_entry_exact(self):
         d = random_dataset()
         for kind, layers in (("esn-rae", 1), ("ml-esn-rae", 2), ("elm-ae", 1), ("ml-elm-ae", 2)):
-            t, _ = fit(d, train_spec(layers=layers), kind)
+            t, _ = fit(d, train_config(layers=layers), kind)
             wts, w_out = chosen_draw_and_readout(t, d)
             assert np.array_equal(t.weights.w_in[:, 1:], w_out.T)
             assert np.array_equal(t.weights.w_in[:, 0], wts.w_in[:, 0])
 
     def test_single_candidate_still_ties_and_recomputes(self):
         d = random_dataset(seed=8)
-        t, features = fit(d, train_spec(seed=9), "esn-rae")
+        t, features = fit(d, train_config(), "esn-rae", 9)
         assert t.chosen_candidate == 0
         assert np.array_equal(t.weights.w_in[:, 1:], chosen_draw_and_readout(t, d)[1].T)
         # Recomputation happened: features come from the tied network.
@@ -143,7 +139,7 @@ class TestFit:
     def test_refit_readout_is_optimal_for_returned_features(self):
         # p >= N: the recorded error is the optimal refit readout's residual.
         d = random_dataset(p=60, k=16, seed=10)
-        t, features = fit(d, train_spec(n=12, k=16, seed=11), "esn-rae")
+        t, features = fit(d, train_config(n=12, k=16), "esn-rae", 11)
         w_refit, _ = train_readout(features, d.patterns)
         base = reconstruction_error(w_refit, features, d.patterns)
         assert base == t.reconstruction_error
@@ -154,21 +150,21 @@ class TestFit:
 
     def test_feature_shape_and_range(self):
         d = random_dataset(p=100, k=96, seed=12)
-        spec = train_spec(n=150, k=96, beta=0.1, seed=13)
-        _, features = fit(d, spec, "esn-rae")
+        cfg = train_config(n=150, k=96, beta=0.1)
+        _, features = fit(d, cfg, "esn-rae", 13)
         assert features.shape == (100, 150)
         assert np.abs(features).max() < 1.0
 
     def test_ml_kind_requires_multiple_layers(self):
         d = random_dataset()
         with pytest.raises(ValueError):
-            fit(d, train_spec(layers=1), "ml-esn-rae")
+            fit(d, train_config(layers=1), "ml-esn-rae")
         with pytest.raises(ValueError):
-            fit(d, train_spec(layers=2), "esn-rae")
+            fit(d, train_config(layers=2), "esn-rae")
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValueError):
-            fit(random_dataset(), train_spec(), "vae")
+            fit(random_dataset(), train_config(), "vae")
 
     def test_all_degenerate_candidates_raise_training_error(self, monkeypatch):
         def zero_states(weights, patterns):
@@ -176,12 +172,12 @@ class TestFit:
 
         monkeypatch.setattr(ae_mod, "run_collect", zero_states)
         with pytest.raises(TrainingError, match=f"all {ae_mod.MAX_DRAWS} network draws"):
-            fit(random_dataset(), train_spec(), "esn-rae")
+            fit(random_dataset(), train_config(), "esn-rae")
 
     def test_deterministic(self):
         d = random_dataset(seed=14)
-        a, features_a = fit(d, train_spec(seed=15), "esn-rae")
-        b, features_b = fit(d, train_spec(seed=15), "esn-rae")
+        a, features_a = fit(d, train_config(), "esn-rae", 15)
+        b, features_b = fit(d, train_config(), "esn-rae", 15)
         assert np.array_equal(features_a, features_b)
         assert (a.pre_tying_error, a.chosen_candidate) == (b.pre_tying_error, b.chosen_candidate)
 
@@ -208,18 +204,18 @@ class TestSelectionRule:
         # Draws after the first usable one are never made, so only the number
         # of unusable draws (all-zero states) before it matters.
         d = random_dataset(p=6, k=3, seed=50)
-        spec = train_spec(n=4, k=3, beta=1.0, seed=51)
+        cfg = train_config(n=4, k=3, beta=1.0)
         for first in range(ae_mod.MAX_DRAWS):
             with monkeypatch.context() as m:
                 calls = counting_run_collect(m, degenerate_calls=range(first))
-                t, _ = fit(d, spec, "esn-rae")
+                t, _ = fit(d, cfg, "esn-rae", 51)
             assert t.chosen_candidate == first
             assert len(calls) == first + 2  # the draws made, then the tied recompute
 
     def test_round_off_stops_after_first_non_degenerate(self, monkeypatch):
         calls = counting_run_collect(monkeypatch, degenerate_calls=(0, 1))
         d = random_dataset(p=20, k=12, seed=53)
-        t, _ = fit(d, train_spec(n=40, k=12, seed=54), "esn-rae")
+        t, _ = fit(d, train_config(n=40, k=12), "esn-rae", 54)
         assert t.chosen_candidate == 2
         assert len(calls) == 4
         assert t.pre_tying_error == 0.0
@@ -230,7 +226,7 @@ class TestLazyFit:
     def test_interpolating_fit_trains_one_candidate(self, monkeypatch, kind):
         calls = counting_run_collect(monkeypatch)
         d = random_dataset(p=20, k=12, seed=51)
-        t, _ = fit(d, train_spec(n=40, k=12, seed=52), kind)
+        t, _ = fit(d, train_config(n=40, k=12), kind, 52)
         assert len(calls) == 2  # one draw, then the tied recompute
         assert t.chosen_candidate == 0
         assert t.pre_tying_error == 0.0
@@ -240,7 +236,7 @@ class TestLazyFit:
         # usable draw is trained.
         calls = counting_run_collect(monkeypatch)
         d = random_dataset(p=50, k=12, seed=6)
-        t, _ = fit(d, train_spec(n=8, k=12, seed=7), "esn-rae")
+        t, _ = fit(d, train_config(n=8, k=12), "esn-rae", 7)
         assert len(calls) == 2
         assert t.chosen_candidate == 0
         assert t.pre_tying_error > 0.1
@@ -252,7 +248,7 @@ class TestLazyFit:
         cfg = ReservoirConfig(n_hidden=300, input_dim=10, connectivity=0.001)
         with pytest.raises(DegenerateMatrixError):
             ae_mod.init_weights(cfg, SeededRng(11).child("cand0"))
-        t, _ = fit(d, RaeTrainSpec(cfg=cfg, seed=11), "esn-rae")
+        t, _ = fit(d, cfg, "esn-rae", 11)
         assert t.chosen_candidate == 1
         draw = ae_mod.init_weights(cfg, SeededRng(11).child("cand1"))
         w_out, _ = train_readout(ae_mod.run_collect(draw, d.patterns), d.patterns)
@@ -265,17 +261,17 @@ class TestLazyFit:
         # Train every draw by hand at a size where most sparse draws stay
         # nilpotent; seed 5 gives three unusable draws before a usable one.
         d = random_dataset(p=20, k=12, seed=55)
-        spec = train_spec(n=30, k=12, beta=0.005, seed=5)
+        cfg = train_config(n=30, k=12, beta=0.005)
         usable = []
         for c in range(ae_mod.MAX_DRAWS):
             try:
-                wts = ae_mod.init_weights(spec.cfg, SeededRng(spec.seed).child(f"cand{c}"))
+                wts = ae_mod.init_weights(cfg, SeededRng(5).child(f"cand{c}"))
                 train_readout(ae_mod.run_collect(wts, d.patterns), d.patterns)
             except NumericalError:
                 continue
             usable.append(c)
         assert usable[0] == 3
-        assert fit(d, spec, "esn-rae")[0].chosen_candidate == usable[0]
+        assert fit(d, cfg, "esn-rae", 5)[0].chosen_candidate == usable[0]
 
 
 def counting(monkeypatch, name):
@@ -294,8 +290,8 @@ def counting(monkeypatch, name):
 def old_errors(t, d):
     """(pre-tying, final) errors as fit computed them with a refit solve for each."""
     draw = ae_mod.init_weights(
-        t.spec.cfg,
-        SeededRng(t.spec.seed).child(f"cand{t.chosen_candidate}"),
+        t.config,
+        SeededRng(t.seed).child(f"cand{t.chosen_candidate}"),
         recurrent=ae_mod.is_recurrent(t.kind),
     )
     errors = []
@@ -314,7 +310,7 @@ class TestOneSolve:
         pinvs = counting(monkeypatch, "pinv")
         residuals = counting(monkeypatch, "reconstruction_error")
         layers = 2 if ae_mod.is_multilayer(kind) else 1
-        t, _ = fit(random_dataset(p=20, k=12, seed=60), train_spec(n=40, k=12, layers=layers), kind)
+        t, _ = fit(random_dataset(p=20, k=12, seed=60), train_config(n=40, k=12, layers=layers), kind)
         assert len(pinvs) == 1
         assert residuals == []
         assert (t.pre_tying_error, t.reconstruction_error) == (0.0, 0.0)
@@ -325,7 +321,7 @@ class TestOneSolve:
         d, _ = make_synthetic(n_train=60, n_test=2, length=64, seed=61)
         layers = 2 if ae_mod.is_multilayer(kind) else 1
         pinvs = counting(monkeypatch, "pinv")
-        t, _ = fit(d, train_spec(n=32, k=64, layers=layers, seed=62), kind)
+        t, _ = fit(d, train_config(n=32, k=64, layers=layers), kind, 62)
         assert len(pinvs) == 2
         assert (t.pre_tying_error, t.reconstruction_error) == old_errors(t, d)
         assert t.reconstruction_error > 0.1
@@ -343,7 +339,7 @@ class TestOneSolve:
         )
         pinvs = counting(monkeypatch, "pinv")
         residuals = counting(monkeypatch, "reconstruction_error")
-        t, _ = fit(d, train_spec(n=40, k=12, seed=64), "elm-ae")
+        t, _ = fit(d, train_config(n=40, k=12), "elm-ae", 64)
         assert [rank for _, rank in pinvs] == [10, 10]
         assert len(residuals) == 2
         assert (t.pre_tying_error, t.reconstruction_error) == old_errors(t, d)
@@ -353,7 +349,7 @@ class TestElmStructure:
     def test_feed_forward_ignores_pattern_order(self):
         # Shuffling the patterns permutes the feature rows identically.
         d = random_dataset(p=30, k=10, seed=16)
-        t, _ = fit(d, train_spec(n=20, k=10, seed=17), "elm-ae")
+        t, _ = fit(d, train_config(n=20, k=10), "elm-ae", 17)
         g = SeededRng(18).child("perm").generator()
         perm = g.permutation(30)
         shuffled = Dataset(
@@ -367,7 +363,7 @@ class TestElmStructure:
 
     def test_single_pattern_equals_batch_row(self):
         d = random_dataset(p=12, k=10, seed=19)
-        t, _ = fit(d, train_spec(n=20, k=10, seed=20), "elm-ae")
+        t, _ = fit(d, train_config(n=20, k=10), "elm-ae", 20)
         full = encode(t, d)
         for j in (0, 5, 11):
             one = Dataset(
@@ -381,12 +377,12 @@ class TestElmStructure:
 
     def test_recurrent_matrices_unused(self):
         d = random_dataset(seed=21)
-        t, _ = fit(d, train_spec(seed=22), "elm-ae")
+        t, _ = fit(d, train_config(), "elm-ae", 22)
         assert all(np.count_nonzero(w) == 0 for w in t.weights.w)
 
     def test_ml_elm_layers_are_feed_forward_too(self):
         d = random_dataset(p=20, k=10, seed=23)
-        t, _ = fit(d, train_spec(n=15, k=10, layers=2, seed=24), "ml-elm-ae")
+        t, _ = fit(d, train_config(n=15, k=10, layers=2), "ml-elm-ae", 24)
         g = SeededRng(25).child("perm").generator()
         perm = g.permutation(20)
         shuffled = Dataset(
@@ -403,13 +399,13 @@ class TestEncode:
     def test_train_encode_matches_stored_features_bit_exactly(self):
         d = random_dataset(seed=26)
         for kind, layers in (("esn-rae", 1), ("ml-esn-rae", 2)):
-            t, features = fit(d, train_spec(layers=layers, seed=27), kind)
+            t, features = fit(d, train_config(layers=layers), kind, 27)
             assert np.array_equal(encode(t, d), features)
 
     def test_carry_mode_is_causal(self):
         # Row j must not depend on later patterns.
         d = random_dataset(p=25, k=10, seed=28)
-        t, _ = fit(d, train_spec(n=20, k=10, seed=29), "esn-rae")
+        t, _ = fit(d, train_config(n=20, k=10), "esn-rae", 29)
         full = encode(t, d)
         cut = 10
         g = SeededRng(30).child("tail").generator()
@@ -438,14 +434,14 @@ class TestEncode:
         d = random_dataset(p=100, k=96, seed=31)
         fractions = {}
         for beta in (0.1, 1.0):
-            spec = train_spec(n=150, k=96, beta=beta, seed=32)
-            _, features = fit(d, spec, "esn-rae")
+            cfg = train_config(n=150, k=96, beta=beta)
+            _, features = fit(d, cfg, "esn-rae", 32)
             fractions[beta] = np.mean(np.abs(features) < 0.05)
         assert fractions[0.1] > fractions[1.0]
 
     def test_length_mismatch_rejected(self):
         d = random_dataset(k=24)
-        t, _ = fit(d, train_spec(), "esn-rae")
+        t, _ = fit(d, train_config(), "esn-rae")
         with pytest.raises(ValueError):
             encode(t, random_dataset(k=23))
 
@@ -453,7 +449,7 @@ class TestEncode:
 class TestEnvelope:
     def test_roundtrip_bit_exact(self, tmp_path):
         d = random_dataset(seed=33)
-        t, _ = fit(d, train_spec(layers=2, seed=34), "ml-esn-rae")
+        t, _ = fit(d, train_config(layers=2), "ml-esn-rae", 34)
         path = str(tmp_path / "enc.esnae")
         save_autoencoder(t, path)
         back = load_autoencoder(path)
@@ -461,7 +457,7 @@ class TestEnvelope:
         assert back.chosen_candidate == t.chosen_candidate
         assert back.reconstruction_error == t.reconstruction_error
         assert back.pre_tying_error == t.pre_tying_error
-        assert back.spec == t.spec
+        assert (back.config, back.seed) == (t.config, t.seed)
         assert np.array_equal(back.weights.w_in, t.weights.w_in)
         for name in ("w", "w_inter", "b_e"):
             loaded, fitted = getattr(back.weights, name), getattr(t.weights, name)
@@ -482,7 +478,7 @@ class TestEnvelope:
 class TestEnvelopeErrors:
     @pytest.fixture(scope="class")
     def envelope(self, tmp_path_factory):
-        t, _ = fit(random_dataset(seed=40), train_spec(seed=41), "esn-rae")
+        t, _ = fit(random_dataset(seed=40), train_config(), "esn-rae", 41)
         path = str(tmp_path_factory.mktemp("env") / "enc.esnae")
         save_autoencoder(t, path)
         with open(path, "rb") as fh:
@@ -594,7 +590,7 @@ class TestEnvelopeErrors:
     def test_kind_contradicting_the_layer_count(self, tmp_path, kind):
         import json
 
-        t, _ = fit(random_dataset(seed=42), train_spec(layers=2, seed=43), "ml-esn-rae")
+        t, _ = fit(random_dataset(seed=42), train_config(layers=2), "ml-esn-rae", 43)
         path = str(tmp_path / "ml.esnae")
         save_autoencoder(t, path)
         with open(path, "rb") as fh:
@@ -604,6 +600,33 @@ class TestEnvelopeErrors:
         meta["kind"] = kind
         with pytest.raises(FormatError, match=f"{kind} needs n_layers == 1"):
             self.load(tmp_path, self.rebuild(raw, json.dumps(meta).encode()))
+
+    @pytest.mark.parametrize(
+        "fitted, edited, message",
+        [
+            ("esn-rae", "elm-ae", "elm-ae needs feed-forward layers, got ['recurrent']"),
+            ("elm-ae", "esn-rae", "esn-rae needs recurrent layers, got ['feed-forward']"),
+        ],
+        ids=["esn-rae-as-elm-ae", "elm-ae-as-esn-rae"],
+    )
+    def test_kind_contradicting_the_recurrence(self, tmp_path, fitted, edited, message):
+        import json
+
+        t, _ = fit(random_dataset(seed=46), train_config(), fitted, 47)
+        raw = saved_envelope(t, tmp_path / "enc.esnae")
+        _, meta_bytes, _ = self.split(raw)
+        meta = json.loads(meta_bytes)
+        meta["kind"] = edited
+        with pytest.raises(FormatError, match=re.escape(message)):
+            self.load(tmp_path, self.rebuild(raw, json.dumps(meta).encode()))
+
+    def test_metadata_keys_are_the_encoder_fields_but_weights(self, envelope):
+        import dataclasses
+        import json
+
+        _, meta_bytes, _ = self.split(envelope)
+        fields = {f.name for f in dataclasses.fields(ae_mod.TrainedAutoencoder)}
+        assert set(json.loads(meta_bytes)) == fields - {"weights"}
 
     @pytest.mark.parametrize("key", ["input_scaling", "connectivity", "spectral_radius_target"])
     def test_boolean_config_number_is_refused(self, tmp_path, envelope, key):
@@ -668,7 +691,7 @@ class TestEnvelopeErrors:
 class TestTrainedAutoencoderChecks:
     @pytest.fixture(scope="class")
     def trained(self):
-        return fit(random_dataset(seed=44), train_spec(seed=45), "esn-rae")[0]
+        return fit(random_dataset(seed=44), train_config(), "esn-rae", 45)[0]
 
     @pytest.mark.parametrize(
         "changes, cfg_changes, message",
@@ -677,15 +700,16 @@ class TestTrainedAutoencoderChecks:
             ({"kind": "ml-esn-rae"}, {}, "ml-esn-rae needs n_layers >= 2, got 1"),
             ({}, {"n_hidden": 31}, "config n_hidden=31 disagrees with the weights (30)"),
             ({}, {"input_dim": 23}, "config input_dim=23 disagrees with the weights (24)"),
+            ({"kind": "elm-ae"}, {}, "elm-ae needs feed-forward layers, got ['recurrent']"),
         ],
-        ids=["negative-draw", "kind", "n_hidden", "input_dim"],
+        ids=["negative-draw", "kind", "n_hidden", "input_dim", "recurrence"],
     )
     def test_inconsistent_encoder_is_refused(self, trained, changes, cfg_changes, message):
         from dataclasses import replace
 
-        spec = replace(trained.spec, cfg=replace(trained.spec.cfg, **cfg_changes))
+        config = replace(trained.config, **cfg_changes)
         with pytest.raises(ValueError, match=re.escape(message)):
-            replace(trained, spec=spec, **changes)
+            replace(trained, config=config, **changes)
 
 
 def saved_envelope(t, path):
@@ -698,7 +722,7 @@ class TestEnvelopeProperties:
     def work(self, tmp_path_factory):
         """A scratch directory and a small valid envelope (a few hundred bytes of blocks)."""
         d = tmp_path_factory.mktemp("envprop")
-        t, _ = fit(random_dataset(p=6, k=3, seed=50), train_spec(n=4, k=3, beta=1.0, seed=51), "esn-rae")
+        t, _ = fit(random_dataset(p=6, k=3, seed=50), train_config(n=4, k=3, beta=1.0), "esn-rae", 51)
         return d, saved_envelope(t, d / "valid.esnae")
 
     @staticmethod
@@ -736,8 +760,8 @@ class TestEnvelopeProperties:
     def test_save_load_save_is_byte_identical(self, work, kind, seed):
         d, _ = work
         layers = 2 if ae_mod.is_multilayer(kind) else 1
-        spec = train_spec(n=4, k=3, beta=1.0, layers=layers, seed=seed)
-        first = saved_envelope(fit(random_dataset(p=6, k=3, seed=seed), spec, kind)[0], d / "a.esnae")
+        cfg = train_config(n=4, k=3, beta=1.0, layers=layers)
+        first = saved_envelope(fit(random_dataset(p=6, k=3, seed=seed), cfg, kind, seed)[0], d / "a.esnae")
         again = saved_envelope(load_autoencoder(str(d / "a.esnae")), d / "b.esnae")
         assert again == first
 

@@ -121,10 +121,10 @@ class TestRunExperiment:
     def test_invalid_cells_are_recorded_not_dropped(self, synth_files, monkeypatch):
         real_fit = bench_mod.fit
 
-        def failing_fit(d, spec, kind):
+        def failing_fit(d, config, kind, seed):
             if kind == "elm-ae":
                 raise NumericalError("synthetic failure for test")
-            return real_fit(d, spec, kind)
+            return real_fit(d, config, kind, seed)
 
         monkeypatch.setattr(bench_mod, "fit", failing_fit)
         report = run_experiment(small_spec(synth_files))
@@ -140,10 +140,10 @@ class TestRunExperiment:
         clean = run_experiment(spec)
         real_fit = bench_mod.fit
 
-        def failing_fit(d, spec, kind):
+        def failing_fit(d, config, kind, seed):
             if kind == "elm-ae":
                 raise NumericalError("synthetic failure for test")
-            return real_fit(d, spec, kind)
+            return real_fit(d, config, kind, seed)
 
         monkeypatch.setattr(bench_mod, "fit", failing_fit)
         failed = run_experiment(spec)
@@ -331,9 +331,9 @@ class TestRunBatches:
             level_of[id(pair[0])] = level
             return pair
 
-        def fitting(d, train_spec, kind):
-            fits.append((kind, level_of[id(d)], train_spec.seed))
-            return real_fit(d, train_spec, kind)
+        def fitting(d, config, kind, seed):
+            fits.append((kind, level_of[id(d)], seed))
+            return real_fit(d, config, kind, seed)
 
         monkeypatch.setattr(bench_mod, "_noised", noised)
         monkeypatch.setattr(bench_mod, "fit", fitting)
@@ -546,7 +546,7 @@ class TestEmission:
         assert "| P1 | P2 | P3 |" in path.read_text()
 
     def test_invalid_cell_marked_in_outputs(self, synth_files, tmp_path, monkeypatch):
-        def always_fail(d, spec, kind):
+        def always_fail(d, config, kind, seed):
             raise NumericalError("bad, bad network")
 
         monkeypatch.setattr(bench_mod, "fit", always_fail)
@@ -559,12 +559,18 @@ class TestEmission:
         assert rows[0]["er"] == "" and "bad" in rows[0]["error"]
         assert "Invalid cells" in md_path.read_text()
 
-    def test_comma_in_dataset_name_keeps_the_columns(self, tmp_path):
-        report = fixture_report({"elm-ae": 0.25}, dataset="a,b\nc")
+    @pytest.mark.parametrize(
+        "dataset, text",
+        [("a,b\nc", "a;b c"), ("a,b\rc", "a;b c"), ("a\u2028b", "a b")],
+        ids=["newline", "carriage-return", "line-separator"],
+    )
+    def test_comma_in_dataset_name_keeps_the_columns(self, tmp_path, dataset, text):
+        report = fixture_report({"elm-ae": 0.25}, dataset=dataset)
         out = tmp_path / "r.csv"
         emit_csv(report, str(out), include_timings=False)
         (row,) = parse_csv(str(out))
-        assert row["dataset"] == "a;b c"
+        assert len(out.read_text(encoding="utf-8").splitlines()) == 3  # spec, header, row
+        assert row["dataset"] == text
         assert (row["method"], row["snr_db"], row["run"], row["er"]) == ("elm-ae", "", "0", "0.25")
 
     @pytest.mark.parametrize("include_timings", [True, False])
@@ -689,8 +695,10 @@ class TestLoadSpec:
 
     @pytest.mark.parametrize("value", [2**63 - 1, -(2**63)])
     def test_seed_at_the_64_bit_limits_loads(self, tmp_path, value):
+        # One run, so the base seed is also the last run's seed.
         path = tmp_path / "spec.json"
-        path.write_text(json.dumps({"train_path": "a", "test_path": "b", "base_seed": value}))
+        spec = {"train_path": "a", "test_path": "b", "base_seed": value, "n_runs": 1}
+        path.write_text(json.dumps(spec))
         assert bench_mod.load_spec(str(path)).base_seed == value
 
     @pytest.mark.parametrize(

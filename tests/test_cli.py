@@ -121,6 +121,19 @@ class TestEncodeCommand:
         assert f"input_scaling must be a finite number, got {value}" in stderr
         assert not fitted
 
+    @pytest.mark.parametrize("seed", [2**64, 2**63, -(2**63) - 1])
+    def test_seed_beyond_64_bits_exits_2_writing_no_encoder(self, synth_files, tmp_path, capsys, seed):
+        train, test = synth_files
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(
+            ["encode", "--train", train, "--test", test, "--n-hidden", "8",
+             "--connectivity", "0.5", f"--seed={seed}", "--out-dir", str(out)],
+            capsys,
+        )
+        assert code == 2
+        assert f"seed must be an integer in the signed 64-bit range, got {seed}" in stderr
+        assert not (out / "synth_esn-rae.esnae").exists()
+
     def test_help_lists_no_reset_policy(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
             main(["encode", "--help"])
@@ -279,10 +292,10 @@ class TestBenchCommand:
 
         real_fit = bench_mod.fit
 
-        def failing_fit(d, spec, kind):
+        def failing_fit(d, config, kind, seed):
             if kind == "elm-ae":
                 raise NumericalError("forced failure")
-            return real_fit(d, spec, kind)
+            return real_fit(d, config, kind, seed)
 
         monkeypatch.setattr(bench_mod, "fit", failing_fit)
         spec = self.write_spec(tmp_path, synth_files)
@@ -329,6 +342,8 @@ class TestBenchCommand:
             {"noise_levels": [None, float("inf")]},
             pytest.param({"epochs": 10_001}, id="epochs-above-bound"),
             pytest.param({"noise_levels": ["10", True]}, id="noise_levels-string-and-bool"),
+            # Run 1's seed is 2**63, one past the signed 64-bit range.
+            pytest.param({"base_seed": 2**63 - 1, "n_runs": 2}, id="last-run-seed-beyond-64-bits"),
         ],
         ids=lambda extra: ",".join(extra),
     )
@@ -501,7 +516,7 @@ class TestExitCodes:
         import esnrae.cli as cli_mod
         from esnrae import NumericalError
 
-        def exploding_fit(d, spec, kind):
+        def exploding_fit(d, config, kind, seed):
             raise NumericalError("singular values refused to converge")
 
         monkeypatch.setattr(cli_mod, "fit", exploding_fit)
@@ -649,12 +664,22 @@ class TestSynthCommand:
         assert train.input_len == 24
         assert train.n_classes == 2
 
-    @pytest.mark.parametrize("offset", ["nan", "inf", "-inf"])
-    def test_non_finite_offset_exits_2_writing_nothing(self, tmp_path, capsys, offset):
+    @pytest.mark.parametrize(
+        "flag, value",
+        [
+            ("--offset", "nan"),
+            ("--offset", "inf"),
+            ("--offset", "-inf"),
+            # Each would otherwise alias a seed in range: 2**64 aliases 0.
+            ("--seed", str(2**64)),
+            ("--seed", str(-(2**63) - 1)),
+        ],
+    )
+    def test_bad_offset_or_seed_exits_2_writing_nothing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "synthdir"
-        code, _, stderr = run_cli(["synth", "--out-dir", str(out), f"--offset={offset}"], capsys)
+        code, _, stderr = run_cli(["synth", "--out-dir", str(out), f"{flag}={value}"], capsys)
         assert code == 2
-        assert "offset" in stderr
+        assert flag[2:] in stderr
         assert not out.exists()
 
 

@@ -16,8 +16,8 @@ from esnrae import (
     EsnWeights,
     ExperimentSpec,
     NoiseSpec,
-    RaeTrainSpec,
     ReservoirConfig,
+    SeededRng,
     TrainedAutoencoder,
 )
 
@@ -34,14 +34,15 @@ VALID = {
     ReservoirConfig: lambda: {"n_hidden": 4, "input_dim": 2},
     ClassifierParams: lambda: {},
     NoiseSpec: lambda: {"snr_db": 10.0, "seed": 0},
-    RaeTrainSpec: lambda: {"cfg": ReservoirConfig(n_hidden=4, input_dim=2)},
+    SeededRng: lambda: {"seed": 0},
     TrainedAutoencoder: lambda: {
         "kind": "elm-ae",
         "weights": _weights(),
         "reconstruction_error": 0.0,
         "pre_tying_error": 0.0,
         "chosen_candidate": 0,
-        "spec": RaeTrainSpec(cfg=ReservoirConfig(n_hidden=4, input_dim=2)),
+        "config": ReservoirConfig(n_hidden=4, input_dim=2),
+        "seed": 0,
     },
 }
 

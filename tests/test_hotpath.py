@@ -29,7 +29,7 @@ from esnrae import (
     spectral_radius,
     write_ucr,
 )
-from esnrae.autoencoder import RaeTrainSpec, fit
+from esnrae.autoencoder import fit
 from esnrae.bench import CellResult
 from esnrae.classifier import (
     ClassifierParams,
@@ -247,9 +247,9 @@ class TestGridSharesRadii:
         open_during = []
         real_fit = bench_mod.fit
 
-        def watching_fit(d, spec, kind):
+        def watching_fit(d, config, kind, seed):
             open_during.append(res_mod._radius_memo is not None)
-            return real_fit(d, spec, kind)
+            return real_fit(d, config, kind, seed)
 
         monkeypatch.setattr(bench_mod, "fit", watching_fit)
         run_experiment(grid_spec(synth_files, n_runs=1, noise_levels=(None,)))
@@ -257,7 +257,7 @@ class TestGridSharesRadii:
         assert res_mod._radius_memo is None
 
     def test_memo_gone_after_the_grid_raises(self, synth_files, monkeypatch):
-        def crashing_fit(d, spec, kind):
+        def crashing_fit(d, config, kind, seed):
             raise RuntimeError("not a cell error")
 
         monkeypatch.setattr(bench_mod, "fit", crashing_fit)
@@ -420,7 +420,7 @@ class TestLockstepPegasos:
         d = Dataset(name="ecg200", patterns=g.standard_normal((100, 96)),
                     labels=np.arange(100) % 2, label_names=(0, 1), split="train")
         cfg = ReservoirConfig(n_hidden=150, input_dim=96, connectivity=0.1)
-        _, features = fit(d, RaeTrainSpec(cfg=cfg, seed=1), "esn-rae")
+        _, features = fit(d, cfg, "esn-rae", 1)
         return features, d.labels, ClassifierParams(seed=1)
 
     @pytest.mark.parametrize("case", ["margin-on-the-edge", "esn-rae-ecg200"])

@@ -12,7 +12,7 @@ import pytest
 from conftest import traced_peak
 
 from esnrae import Dataset, parse_ucr, write_ucr
-from esnrae.autoencoder import KINDS, RaeTrainSpec, fit, is_multilayer
+from esnrae.autoencoder import KINDS, fit, is_multilayer
 from esnrae.classifier import standardize
 from esnrae.linalg import SeededRng
 from esnrae.reservoir import ReservoirConfig, init_weights, resolve_preset, run_collect
@@ -50,7 +50,7 @@ def test_fit_holds_at_most_two_state_matrices_beyond_its_result(earthquakes_trai
         n_layers=2 if is_multilayer(kind) else 1,
     )
     (_, features), peak, kept = traced_peak(
-        fit, earthquakes_train, RaeTrainSpec(cfg=cfg, seed=1), kind
+        fit, earthquakes_train, cfg, kind, 1
     )
     assert features.shape == (P, n_hidden)
     assert peak - kept <= 2 * features.nbytes
