@@ -228,10 +228,7 @@ def save_autoencoder(t: TrainedAutoencoder, path: str) -> None:
 
 
 def _read_meta(fh: BinaryIO, path: str) -> dict:
-    header = fh.read(4)
-    if len(header) != 4:
-        raise FormatError(f"{path}: encoder envelope truncated (header length)")
-    (hlen,) = struct.unpack("<I", header)
+    (hlen,) = struct.unpack("<I", _read_exact(fh, 4, f"{path}: encoder envelope header length"))
     blob = _read_exact(fh, hlen, f"{path}: encoder envelope metadata")
     try:
         meta = json.loads(blob.decode("utf-8"))

@@ -182,10 +182,7 @@ class ExperimentReport:
         ]
 
     def mean_er(self, method: str, snr_db: float | None) -> float:
-        ers = self.run_ers(method, snr_db)
-        if not ers:
-            return math.nan
-        return float(np.mean(ers))
+        return self.spread(method, snr_db)["mean"]
 
     def spread(self, method: str, snr_db: float | None) -> dict[str, float]:
         ers = self.run_ers(method, snr_db)
@@ -451,15 +448,6 @@ def emit_csv(report: ExperimentReport, path: str, include_timings: bool = True) 
         buf.write(",".join(_csv_field(c, col) for col in columns) + "\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(buf.getvalue())
-
-
-def parse_csv(path: str) -> list[dict[str, str]]:
-    """Read back an emitted csv into one dict per data row."""
-    lines = [ln.rstrip("\n") for ln in _read_lines(path) if not ln.startswith("#")]
-    if not lines:
-        raise FormatError(f"{path}: no csv content")
-    header = lines[0].split(",")
-    return [dict(zip(header, ln.split(","))) for ln in lines[1:] if ln]
 
 
 def emit_markdown(report: ExperimentReport, path: str) -> None:

@@ -1,11 +1,13 @@
 """Command-line entry point.
 
-Subcommands: encode, classify, bench, noise, synth. Every command echoes its
-fully resolved configuration before doing any work. Exit codes are a stable
-contract: 0 ok, 2 usage or data-format error (also running out of memory,
-or a file that cannot be read or written), 3 numerical error, 4 partial
-benchmark failure (report still written, invalid cells marked). Output
-directories are created, and bench's report paths checked, before any fit.
+Subcommands: encode, classify, bench, noise, synth. Every command checks its
+flags before it echoes its fully resolved configuration, and echoes it before
+any fit or write; a refused value prints no configuration and creates no
+directory. Exit codes are a stable contract: 0 ok, 2 usage or
+data-format error (also running out of memory, or a file that cannot be read
+or written), 3 numerical error, 4 partial benchmark failure (report still
+written, invalid cells marked). Output directories are created, and bench's
+report paths checked, before any fit.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import sys
 from dataclasses import asdict, replace
 
 from . import bench as bench_mod
-from .autoencoder import KINDS, encode, fit, is_multilayer, save_autoencoder
+from .autoencoder import KINDS, _validate_kind, encode, fit, is_multilayer, save_autoencoder
 from .classifier import ClassifierParams, evaluate, train_classifier
 from .data import (
     NoiseSpec,
@@ -32,6 +34,7 @@ from .data import (
     write_ucr,
 )
 from .errors import FormatError, NumericalError
+from .linalg import SeededRng
 from .reservoir import PRESETS, ReservoirConfig, resolve_preset
 
 EXIT_OK = 0
@@ -41,7 +44,7 @@ EXIT_PARTIAL = 4
 
 
 def _echo(config: dict) -> None:
-    print("resolved config: " + json.dumps(config, sort_keys=True))
+    print("resolved config: " + json.dumps(config, sort_keys=True, allow_nan=False))
 
 
 def _require_file(path: str) -> str:
@@ -75,7 +78,7 @@ def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
     n_layers = args.layers
     if n_layers is None:
         n_layers = 2 if is_multilayer(args.kind) else 1
-    return ReservoirConfig(
+    cfg = ReservoirConfig(
         n_hidden=n_hidden,
         input_dim=input_dim,
         connectivity=connectivity,
@@ -83,6 +86,8 @@ def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
         n_layers=n_layers,
         input_scaling=args.input_scaling,
     )
+    _validate_kind(args.kind, cfg)
+    return cfg
 
 
 def cmd_encode(args) -> int:
@@ -90,6 +95,7 @@ def cmd_encode(args) -> int:
         _require_file(args.train), _require_file(args.test), normalized=args.normalize
     )
     cfg = _resolve_reservoir(args, d_train.input_len)
+    SeededRng(args.seed)  # refuses a seed outside 64 bits before --out-dir exists
     _echo(
         {
             "command": "encode",
@@ -122,18 +128,9 @@ def cmd_encode(args) -> int:
 
 
 def cmd_classify(args) -> int:
-    _echo(
-        {
-            "command": "classify",
-            "train": args.train,
-            "test": args.test,
-            "reg_lambda": args.reg_lambda,
-            "epochs": args.epochs,
-            "seed": args.seed,
-        }
-    )
-    d_train, d_test = parse_ucr_pair(_require_file(args.train), _require_file(args.test))
     params = ClassifierParams(reg_lambda=args.reg_lambda, epochs=args.epochs, seed=args.seed)
+    _echo({"command": "classify", "train": args.train, "test": args.test, **asdict(params)})
+    d_train, d_test = parse_ucr_pair(_require_file(args.train), _require_file(args.test))
     clf = train_classifier(d_train.patterns, d_train.labels, params)
     result = evaluate(clf, d_test.patterns, d_test.labels)
     print(f"error rate: {result.error_rate:.4f} "
@@ -179,17 +176,10 @@ def cmd_bench(args) -> int:
 
 
 def cmd_noise(args) -> int:
-    _echo(
-        {
-            "command": "noise",
-            "input": args.input,
-            "snr_db": args.snr,
-            "seed": args.seed,
-            "out": args.out,
-        }
-    )
+    noise = NoiseSpec(snr_db=args.snr, seed=args.seed)
+    _echo({"command": "noise", "input": args.input, "out": args.out, **asdict(noise)})
     d = parse_ucr(_require_file(args.input))
-    noised = inject_noise(d, NoiseSpec(snr_db=args.snr, seed=args.seed))
+    noised = inject_noise(d, noise)
     write_ucr(noised, args.out)
     snr = measured_snr(d, noised)
     label = "inf" if math.isinf(snr) else f"{snr:.3f}"
@@ -198,6 +188,13 @@ def cmd_noise(args) -> int:
 
 
 def cmd_synth(args) -> int:
+    d_train, d_test = make_synthetic(
+        n_train=args.train_size,
+        n_test=args.test_size,
+        length=args.length,
+        seed=args.seed,
+        offset=args.offset,
+    )
     _echo(
         {
             "command": "synth",
@@ -208,13 +205,6 @@ def cmd_synth(args) -> int:
             "seed": args.seed,
             "offset": args.offset,
         }
-    )
-    d_train, d_test = make_synthetic(
-        n_train=args.train_size,
-        n_test=args.test_size,
-        length=args.length,
-        seed=args.seed,
-        offset=args.offset,
     )
     os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "synth_TRAIN.txt")

@@ -23,10 +23,15 @@ _MASK64 = (1 << 64) - 1
 class SeededRng:
     """A (seed, stream) pair naming one reproducible random sequence.
 
-    Identical pairs yield bit-identical sequences across runs and platforms
-    (SHA-256 stream hashing -> SeedSequence -> PCG64). Derive one child per
-    random object; a stream is a fresh sequence each time ``generator()`` is
-    called, so never draw from the same stream twice for different purposes.
+    Identical pairs give the same PCG64 raw stream on every platform and
+    numpy version (SHA-256 stream hashing -> SeedSequence -> PCG64; NEP 19
+    keeps both stable). The values that ``uniform``, ``choice(replace=False)``,
+    ``permutation`` and ``standard_normal`` draw from it are fixed for one
+    numpy version, since a feature release may change a method's algorithm;
+    features computed from them are fixed for one numpy/BLAS build at 1 BLAS
+    thread. Derive one child per random object; a stream is a fresh sequence
+    each time ``generator()`` is called, so never draw from the same stream
+    twice for different purposes.
     The seed must lie in the signed 64-bit range, so no two seeds share a
     sequence; a negative seed is taken modulo 2**64.
     """

@@ -329,10 +329,7 @@ def _read_exact(fh: BinaryIO, size: int, what: str) -> bytes:
 
 def _read_block(fh: BinaryIO) -> np.ndarray:
     """Inverse of :func:`_write_block`; a 1-D array comes back as one row."""
-    header = fh.read(8)
-    if len(header) != 8:
-        raise FormatError("weight container truncated (block header)")
-    rows, cols = struct.unpack("<II", header)
+    rows, cols = struct.unpack("<II", _read_exact(fh, 8, "weight container block header"))
     raw = _read_exact(fh, rows * cols * 8, "weight container block data")
     return np.frombuffer(raw, dtype="<f8").astype(float).reshape(rows, cols)
 
@@ -355,10 +352,7 @@ def load_weights(fh: BinaryIO) -> EsnWeights:
     magic = fh.read(len(_MAGIC))
     if magic != _MAGIC:
         raise FormatError(f"not a weight container (magic {magic!r})")
-    header = fh.read(12)
-    if len(header) != 12:
-        raise FormatError("weight container truncated (dimensions)")
-    m, n, k = struct.unpack("<III", header)
+    m, n, k = struct.unpack("<III", _read_exact(fh, 12, "weight container dimensions"))
     w_in = _read_block(fh)
     w = tuple(_read_block(fh) for _ in range(m))
     w_inter = tuple(_read_block(fh) for _ in range(m - 1))

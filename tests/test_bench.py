@@ -22,7 +22,15 @@ from esnrae import (
     run_experiment,
     write_ucr,
 )
-from esnrae.bench import CellResult, parse_csv
+from esnrae.bench import CellResult
+
+
+def parse_csv(path: str) -> list[dict[str, str]]:
+    """Read back an emitted csv into one dict per data row."""
+    text = Path(path).read_text(encoding="utf-8")
+    lines = [ln for ln in text.splitlines() if not ln.startswith("#")]
+    header = lines[0].split(",")
+    return [dict(zip(header, ln.split(","))) for ln in lines[1:] if ln]
 
 
 def small_spec(synth_files, **kw):
@@ -616,14 +624,6 @@ class TestEmission:
             ]
         assert lines[1:] == expected
 
-    def test_non_utf8_csv_is_a_format_error_naming_it(self, tmp_path):
-        from esnrae import FormatError
-
-        path = tmp_path / "r.csv"
-        path.write_bytes(b"\xff\xfe\x00")
-        with pytest.raises(FormatError, match=r"r\.csv: not UTF-8"):
-            parse_csv(str(path))
-
 
 class TestLoadSpec:
     def test_roundtrip_with_overrides(self, synth_files, tmp_path):
@@ -909,22 +909,3 @@ class TestReaderProperties:
             assert isinstance(bench_mod.load_spec(str(path)), ExperimentSpec)
         except FormatError:
             pass
-
-    @given(
-        raw=st.one_of(
-            st.binary(max_size=300),
-            st.lists(st.sampled_from(["# spec: {}", "dataset,er", "a,b,c", "x", "", ",,"]))
-            .map(lambda lines: "\n".join(lines).encode()),
-        )
-    )
-    @settings(max_examples=300, deadline=None, derandomize=True)
-    def test_parse_csv_loads_or_raises_format_error(self, scratch, raw):
-        from esnrae import FormatError
-
-        path = scratch / "report.csv"
-        path.write_bytes(raw)
-        try:
-            rows = parse_csv(str(path))
-        except FormatError:
-            return
-        assert all(isinstance(row, dict) for row in rows)

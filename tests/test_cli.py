@@ -89,17 +89,26 @@ class TestEncodeCommand:
         assert code == 2
         assert "mnist" in stderr
 
-    def test_zero_layers_exits_2(self, synth_files, tmp_path, capsys):
+    @pytest.mark.parametrize(
+        "kind, layers, message",
+        [
+            ("ml-esn-rae", 0, "n_layers must be >= 1, got 0"),
+            ("ml-esn-rae", 1, "ml-esn-rae needs n_layers >= 2, got 1"),
+            ("esn-rae", 3, "esn-rae needs n_layers == 1, got 3"),
+        ],
+    )
+    def test_bad_layer_count_exits_2(self, synth_files, tmp_path, capsys, kind, layers, message):
         train, test = synth_files
         out = tmp_path / "out"
-        code, _, stderr = run_cli(
-            ["encode", "--train", train, "--test", test, "--kind", "ml-esn-rae",
-             "--layers", "0", "--n-hidden", "8", "--connectivity", "0.5",
+        code, stdout, stderr = run_cli(
+            ["encode", "--train", train, "--test", test, "--kind", kind,
+             "--layers", str(layers), "--n-hidden", "8", "--connectivity", "0.5",
              "--out-dir", str(out)],
             capsys,
         )
         assert code == 2
-        assert "n_layers must be >= 1, got 0" in stderr
+        assert message in stderr
+        assert "resolved config" not in stdout
         assert not out.exists()
 
     @pytest.mark.parametrize("value", ["inf", "-inf", "nan"])
@@ -125,14 +134,15 @@ class TestEncodeCommand:
     def test_seed_beyond_64_bits_exits_2_writing_no_encoder(self, synth_files, tmp_path, capsys, seed):
         train, test = synth_files
         out = tmp_path / "out"
-        code, _, stderr = run_cli(
+        code, stdout, stderr = run_cli(
             ["encode", "--train", train, "--test", test, "--n-hidden", "8",
              "--connectivity", "0.5", f"--seed={seed}", "--out-dir", str(out)],
             capsys,
         )
         assert code == 2
         assert f"seed must be an integer in the signed 64-bit range, got {seed}" in stderr
-        assert not (out / "synth_esn-rae.esnae").exists()
+        assert "resolved config" not in stdout
+        assert not out.exists()
 
     def test_help_lists_no_reset_policy(self, capsys):
         with pytest.raises(SystemExit) as exit_info:
@@ -200,6 +210,7 @@ class TestClassifyCommand:
         assert code == 2
         assert f"reg_lambda must be a finite number, got {value}" in stderr
         assert not trained and "error rate" not in stdout
+        assert "resolved config" not in stdout
 
 
 class TestBenchCommand:
@@ -510,6 +521,18 @@ class TestNoiseCommand:
         assert code == 2
         assert "non-numeric" in stderr
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_snr_exits_2_writing_nothing(self, synth_files, tmp_path, capsys, value):
+        train, _ = synth_files
+        out = tmp_path / "o.txt"
+        code, stdout, stderr = run_cli(
+            ["noise", "--input", train, f"--snr={value}", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert f"snr_db must be a finite number, got {value}" in stderr
+        assert "resolved config" not in stdout
+        assert not out.exists()
+
 
 class TestExitCodes:
     def test_numerical_error_maps_to_3(self, synth_files, capsys, monkeypatch):
@@ -677,9 +700,10 @@ class TestSynthCommand:
     )
     def test_bad_offset_or_seed_exits_2_writing_nothing(self, tmp_path, capsys, flag, value):
         out = tmp_path / "synthdir"
-        code, _, stderr = run_cli(["synth", "--out-dir", str(out), f"{flag}={value}"], capsys)
+        code, stdout, stderr = run_cli(["synth", "--out-dir", str(out), f"{flag}={value}"], capsys)
         assert code == 2
         assert flag[2:] in stderr
+        assert "resolved config" not in stdout
         assert not out.exists()
 
 

@@ -63,6 +63,39 @@ class TestSeededRng:
         ]
         assert runs[0] == runs[1]
 
+    # Recorded under numpy 2.4.6. NEP 19 keeps PCG64's raw stream and
+    # SeedSequence stable across numpy versions, but a feature release may
+    # change a Generator method's algorithm and so every weight, noise or
+    # synth value drawn through it. Each method the package draws with is
+    # pinned here; choice(replace=False) takes one path for small
+    # populations and another above 10000 (the sparse recurrent matrices).
+    PINNED_DRAWS = {
+        "random_raw": (
+            lambda g: g.bit_generator.random_raw(3),
+            [8188906667297244905, 7336551786519051492, 18000109769579628319],
+        ),
+        "uniform": (
+            lambda g: g.uniform(-1.0, 1.0, 3),
+            [-0.07990404931737749, -0.22375838987184782, -0.3406384930512649],
+        ),
+        "choice": (lambda g: g.choice(100, 4, replace=False), [84, 69, 99, 2]),
+        "choice_tail_shuffle": (
+            lambda g: g.choice(20000, 500, replace=False)[:4],
+            [7001, 5392, 4989, 4637],
+        ),
+        "permutation": (lambda g: g.permutation(8), [6, 7, 4, 3, 0, 1, 2, 5]),
+        "standard_normal": (
+            lambda g: g.standard_normal(3),
+            [0.5439508341682527, -0.4062721989675031, 1.2875610359193823],
+        ),
+    }
+
+    @pytest.mark.parametrize("method", list(PINNED_DRAWS))
+    def test_pinned_draws_per_method(self, method):
+        draw, expected = self.PINNED_DRAWS[method]
+        got = draw(SeededRng(2018).child(f"pin/{method}").generator()).tolist()
+        assert got == expected, f"{method} draws other values under numpy {np.__version__}"
+
 
 class TestSparseRandomMatrix:
     def test_full_density_every_entry_nonzero(self):
