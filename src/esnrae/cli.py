@@ -3,11 +3,11 @@
 Subcommands: encode, classify, bench, noise, synth. Every command checks its
 flags before it echoes its fully resolved configuration, and echoes it before
 any fit or write; a refused value prints no configuration and creates no
-directory. Exit codes are a stable contract: 0 ok, 2 usage or
-data-format error (also running out of memory, or a file that cannot be read
-or written), 3 numerical error, 4 partial benchmark failure (report still
-written, invalid cells marked). Output directories are created, and bench's
-report paths checked, before any fit.
+directory. Exit codes are a stable contract: 0 ok, 2 usage or data-format error
+(also running out of memory, or a file that cannot be read or written), 3
+numerical error, 4 partial benchmark failure (report still written, invalid
+cells marked). Each input is checked by the reader that opens it. Output paths
+are checked before any fit; --out-dir is created only to write finished output.
 """
 
 from __future__ import annotations
@@ -47,16 +47,18 @@ def _echo(config: dict) -> None:
     print("resolved config: " + json.dumps(config, sort_keys=True, allow_nan=False))
 
 
-def _require_file(path: str) -> str:
-    if not os.path.isfile(path):
-        raise FormatError(f"no such file: {path}")
-    return path
-
-
 def _require_writable(out_dir: str, paths: tuple[str, ...]) -> None:
-    """Raise OSError now for report files that could not be written later."""
-    if not os.access(out_dir, os.W_OK | os.X_OK):
-        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), out_dir)
+    """Raise OSError now for output files that could not be written later.
+    Creates nothing; the nearest existing path at or above out_dir must be a writable directory."""
+    if not out_dir:  # abspath would read "" as the cwd; os.makedirs refuses it
+        raise FileNotFoundError(errno.ENOENT, os.strerror(errno.ENOENT), out_dir)
+    nearest = os.path.abspath(out_dir)
+    while not os.path.lexists(nearest):
+        nearest = os.path.dirname(nearest)
+    if not os.path.isdir(nearest):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), nearest)
+    if not os.access(nearest, os.W_OK | os.X_OK):
+        raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), nearest)
     for path in paths:
         if os.path.isdir(path):
             raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), path)
@@ -91,11 +93,9 @@ def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
 
 
 def cmd_encode(args) -> int:
-    d_train, d_test = parse_ucr_pair(
-        _require_file(args.train), _require_file(args.test), normalized=args.normalize
-    )
+    d_train, d_test = parse_ucr_pair(args.train, args.test, normalized=args.normalize)
     cfg = _resolve_reservoir(args, d_train.input_len)
-    SeededRng(args.seed)  # refuses a seed outside 64 bits before --out-dir exists
+    SeededRng(args.seed)  # refuses a seed outside 64 bits before the echo
     _echo(
         {
             "command": "encode",
@@ -112,15 +112,17 @@ def cmd_encode(args) -> int:
             "out_dir": args.out_dir,
         }
     )
-    os.makedirs(args.out_dir, exist_ok=True)
+    stem = os.path.join(args.out_dir, f"{d_train.name}_{args.kind}")
+    paths = (stem + ".esnae", stem + "_train_features.csv", stem + "_test_features.csv")
+    _require_writable(args.out_dir, paths)
 
     ae, features_train = fit(d_train, cfg, args.kind, args.seed)
     features_test = encode(ae, d_test)
 
-    stem = os.path.join(args.out_dir, f"{d_train.name}_{args.kind}")
-    save_autoencoder(ae, stem + ".esnae")
-    write_ucr(replace(d_train, patterns=features_train), stem + "_train_features.csv")
-    write_ucr(replace(d_test, patterns=features_test), stem + "_test_features.csv")
+    os.makedirs(args.out_dir, exist_ok=True)
+    save_autoencoder(ae, paths[0])
+    write_ucr(replace(d_train, patterns=features_train), paths[1])
+    write_ucr(replace(d_test, patterns=features_test), paths[2])
     print(f"wrote {stem}.esnae and train/test feature files")
     print(f"reconstruction error: {ae.reconstruction_error:.6g} "
           f"(pre-tying {ae.pre_tying_error:.6g}, network draw {ae.chosen_candidate})")
@@ -130,7 +132,7 @@ def cmd_encode(args) -> int:
 def cmd_classify(args) -> int:
     params = ClassifierParams(reg_lambda=args.reg_lambda, epochs=args.epochs, seed=args.seed)
     _echo({"command": "classify", "train": args.train, "test": args.test, **asdict(params)})
-    d_train, d_test = parse_ucr_pair(_require_file(args.train), _require_file(args.test))
+    d_train, d_test = parse_ucr_pair(args.train, args.test)
     clf = train_classifier(d_train.patterns, d_train.labels, params)
     result = evaluate(clf, d_test.patterns, d_test.labels)
     print(f"error rate: {result.error_rate:.4f} "
@@ -151,17 +153,15 @@ def cmd_bench(args) -> int:
         overrides["methods"] = tuple(args.methods.split(","))
     if args.preset:
         overrides["n_hidden"], overrides["connectivity"] = resolve_preset(args.preset)
-    spec = bench_mod.load_spec(_require_file(args.spec), overrides)
-    _require_file(spec.train_path)
-    _require_file(spec.test_path)
+    spec = bench_mod.load_spec(args.spec, overrides)
     _echo({"command": "bench", "spec_file": args.spec, **asdict(spec)})
-    os.makedirs(args.out_dir, exist_ok=True)
     # The report is named after the dataset, as parse_ucr names it.
     stem = os.path.join(args.out_dir, f"{spec.dataset_name or _stem(spec.train_path)}_report")
     csv_path, md_path = stem + ".csv", stem + ".md"
     _require_writable(args.out_dir, (csv_path, md_path))
 
     report = bench_mod.run_experiment(spec)
+    os.makedirs(args.out_dir, exist_ok=True)
     bench_mod.emit_csv(report, csv_path, include_timings=not args.no_timings)
     bench_mod.emit_markdown(report, md_path)
     print(f"wrote {csv_path} and {md_path}")
@@ -178,7 +178,7 @@ def cmd_bench(args) -> int:
 def cmd_noise(args) -> int:
     noise = NoiseSpec(snr_db=args.snr, seed=args.seed)
     _echo({"command": "noise", "input": args.input, "out": args.out, **asdict(noise)})
-    d = parse_ucr(_require_file(args.input))
+    d = parse_ucr(args.input)
     noised = inject_noise(d, noise)
     write_ucr(noised, args.out)
     snr = measured_snr(d, noised)

@@ -184,8 +184,7 @@ def init_weights(
     n, k, m = cfg.n_hidden, cfg.input_dim, cfg.n_layers
 
     w_in = rng.child("win").generator().uniform(-1.0, 1.0, (n, k + 1))
-    if cfg.input_scaling != 1.0:
-        w_in[:, 1:] *= cfg.input_scaling
+    w_in[:, 1:] *= cfg.input_scaling
 
     w = []
     for i in range(1, m + 1):

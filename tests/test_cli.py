@@ -583,7 +583,11 @@ class TestExitCodes:
 
 
 class TestOutputPaths:
-    """A file that cannot be written is one error line and exit 2, before any fit."""
+    """A file that cannot be written is one error line and exit 2, before any fit.
+
+    A refused or failed run leaves no --out-dir behind: encode and bench create
+    it only to write finished output.
+    """
 
     @staticmethod
     def no_fit(monkeypatch):
@@ -634,6 +638,90 @@ class TestOutputPaths:
         code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(taken)], capsys)
         assert code == 2
         self.assert_one_error_line(stderr, taken)
+
+    @staticmethod
+    def encode_args(synth_files, out_dir):
+        train, test = synth_files
+        return ["encode", "--train", train, "--test", test, "--n-hidden", "8",
+                "--connectivity", "0.5", "--out-dir", str(out_dir)]
+
+    def test_bench_with_a_malformed_data_file_creates_no_out_dir(
+        self, synth_files, tmp_path, capsys
+    ):
+        bad = tmp_path / "bad_TRAIN.txt"
+        bad.write_text("0,abc,0.1\n1,0.2,0.3\n")
+        spec = TestBenchCommand().write_spec(tmp_path, synth_files, train_path=str(bad))
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert "resolved config" in stdout
+        assert "line 1: non-numeric field" in stderr
+        assert not out.exists()
+
+    def test_encode_whose_fit_fails_creates_no_out_dir(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        import esnrae.cli as cli_mod
+        from esnrae import TrainingError
+
+        def failing_fit(*args):
+            raise TrainingError("no usable network draw")
+
+        monkeypatch.setattr(cli_mod, "fit", failing_fit)
+        out = tmp_path / "new" / "out"
+        code, _, stderr = run_cli(self.encode_args(synth_files, out), capsys)
+        assert code == 3
+        assert "no usable network draw" in stderr
+        assert not (tmp_path / "new").exists()
+
+    @pytest.mark.parametrize("name", ["synth_esn-rae.esnae", "synth_esn-rae_train_features.csv"])
+    def test_encode_output_path_that_is_a_directory_exits_2_before_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, name
+    ):
+        self.no_fit(monkeypatch)
+        out = tmp_path / "out"
+        taken = out / name
+        taken.mkdir(parents=True)
+        code, _, stderr = run_cli(self.encode_args(synth_files, out), capsys)
+        assert code == 2
+        self.assert_one_error_line(stderr, taken)
+        assert os.listdir(out) == [name] and os.listdir(taken) == []
+
+    @pytest.mark.parametrize("command", ["encode", "bench"])
+    def test_out_dir_below_a_file_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, command
+    ):
+        self.no_fit(monkeypatch)
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        out = taken / "sub"
+        if command == "encode":
+            args = self.encode_args(synth_files, out)
+        else:
+            spec = TestBenchCommand().write_spec(tmp_path, synth_files)
+            args = ["bench", "--spec", spec, "--out-dir", str(out)]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        self.assert_one_error_line(stderr, taken)
+        assert "Not a directory" in stderr
+        assert taken.read_text() == ""
+
+    @pytest.mark.parametrize("command", ["encode", "bench"])
+    def test_empty_out_dir_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, command
+    ):
+        # os.path.abspath reads "" as the working directory, which exists.
+        self.no_fit(monkeypatch)
+        monkeypatch.chdir(tmp_path)
+        if command == "encode":
+            args = self.encode_args(synth_files, "")
+        else:
+            args = ["bench", "--spec", TestBenchCommand().write_spec(tmp_path, synth_files),
+                    "--out-dir", ""]
+        code, _, stderr = run_cli(args, capsys)
+        assert code == 2
+        assert stderr == "error: [Errno 2] No such file or directory: ''\n"
+        assert os.listdir(tmp_path) == (["spec.json"] if command == "bench" else [])
 
     @pytest.mark.parametrize("suffix", ["csv", "md"])
     @pytest.mark.parametrize("dataset_name", ["", "named"])
