@@ -68,17 +68,17 @@ class ExperimentSpec:
     methods: tuple[str, ...] = KINDS
     raw_baseline: bool = True
     n_hidden: int = 100
-    connectivity: float = 0.1
-    spectral_radius: float = 0.9
+    connectivity: float = ReservoirConfig.connectivity
+    spectral_radius: float = ReservoirConfig.spectral_radius_target
     n_layers_ml: int = 2
-    input_scaling: float = 1.0
+    input_scaling: float = ReservoirConfig.input_scaling
     n_runs: int = 10
     base_seed: int = 0
     noise_levels: tuple[float | None, ...] = (None,)
     noise_targets: str = "both"
     normalize: bool = True
-    reg_lambda: float = 1e-4
-    epochs: int = 50
+    reg_lambda: float = ClassifierParams.reg_lambda
+    epochs: int = ClassifierParams.epochs
 
     def __post_init__(self):
         # A spec read from JSON can hold any type or size; each is refused
@@ -514,8 +514,8 @@ def emit_markdown(report: ExperimentReport, path: str) -> None:
         fh.write("\n".join(lines))
 
 
-def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
-    """Build an ExperimentSpec from a flat JSON document plus flag overrides."""
+def load_spec(path: str) -> ExperimentSpec:
+    """The ExperimentSpec a flat JSON document states, checked as written: the file is the grid."""
     try:
         doc = json.loads("".join(_read_lines(path)))
     except (ValueError, RecursionError) as exc:
@@ -523,8 +523,6 @@ def load_spec(path: str, overrides: dict | None = None) -> ExperimentSpec:
     if not isinstance(doc, dict):
         raise FormatError(f"{path}: spec must be a JSON object")
     doc.pop("workers", None)  # ignored: perfbench/workloads.py writes it into every grid spec
-    if overrides:
-        doc.update({k: v for k, v in overrides.items() if v is not None})
     known = set(ExperimentSpec.__dataclass_fields__)
     unknown = sorted(set(doc) - known)
     if unknown:

@@ -79,7 +79,7 @@ def _resolve_reservoir(args, input_dim: int) -> ReservoirConfig:
         )
     n_layers = args.layers
     if n_layers is None:
-        n_layers = 2 if is_multilayer(args.kind) else 1
+        n_layers = bench_mod.ExperimentSpec.n_layers_ml if is_multilayer(args.kind) else 1
     cfg = ReservoirConfig(
         n_hidden=n_hidden,
         input_dim=input_dim,
@@ -144,16 +144,10 @@ def cmd_classify(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    overrides = {
-        "n_runs": args.runs,
-        "base_seed": args.seed,
-        "noise_targets": args.noise_targets,
-    }
-    if args.methods:
-        overrides["methods"] = tuple(args.methods.split(","))
+    spec = bench_mod.load_spec(args.spec)
     if args.preset:
-        overrides["n_hidden"], overrides["connectivity"] = resolve_preset(args.preset)
-    spec = bench_mod.load_spec(args.spec, overrides)
+        n_hidden, connectivity = resolve_preset(args.preset)
+        spec = replace(spec, n_hidden=n_hidden, connectivity=connectivity)
     _echo({"command": "bench", "spec_file": args.spec, **asdict(spec)})
     # The report is named after the dataset, as parse_ucr names it.
     stem = os.path.join(args.out_dir, f"{spec.dataset_name or _stem(spec.train_path)}_report")
@@ -206,9 +200,10 @@ def cmd_synth(args) -> int:
             "offset": args.offset,
         }
     )
-    os.makedirs(args.out_dir, exist_ok=True)
     train_path = os.path.join(args.out_dir, "synth_TRAIN.txt")
     test_path = os.path.join(args.out_dir, "synth_TEST.txt")
+    _require_writable(args.out_dir, (train_path, test_path))
+    os.makedirs(args.out_dir, exist_ok=True)
     write_ucr(d_train, train_path)
     write_ucr(d_test, test_path)
     print(f"wrote {train_path} and {test_path}")
@@ -227,10 +222,11 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--n-hidden", type=int, default=None, help="reservoir size")
         p.add_argument("--connectivity", type=float, default=None,
                        help="fraction of nonzero recurrent weights")
-        p.add_argument("--spectral-radius", type=float, default=0.9)
-        p.add_argument("--input-scaling", type=float, default=1.0)
-        p.add_argument("--layers", type=int, default=None,
-                       help="reservoir count (defaults: 1 basic, 2 multi-layer)")
+        p.add_argument("--spectral-radius", type=float,
+                       default=ReservoirConfig.spectral_radius_target)
+        p.add_argument("--input-scaling", type=float, default=ReservoirConfig.input_scaling)
+        p.add_argument("--layers", type=int, default=None, help="reservoir count (defaults: "
+                       f"1 basic, {bench_mod.ExperimentSpec.n_layers_ml} multi-layer)")
 
     p = sub.add_parser("encode", help="train an autoencoder and emit feature files")
     p.add_argument("--train", required=True)
@@ -245,19 +241,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="train/evaluate the linear classifier on any UCR-format file")
     p.add_argument("--train", required=True)
     p.add_argument("--test", required=True)
-    p.add_argument("--reg-lambda", type=float, default=1e-4)
-    p.add_argument("--epochs", type=int, default=50)
+    p.add_argument("--reg-lambda", type=float, default=ClassifierParams.reg_lambda)
+    p.add_argument("--epochs", type=int, default=ClassifierParams.epochs)
     p.add_argument("--seed", type=int, default=0)
     p.set_defaults(func=cmd_classify)
 
     p = sub.add_parser("bench", help="run a benchmark experiment from a JSON spec")
     p.add_argument("--spec", required=True)
     p.add_argument("--out-dir", default=".")
-    p.add_argument("--runs", type=int, default=None)
-    p.add_argument("--seed", type=int, default=None)
-    p.add_argument("--methods", default=None, help="comma-separated method subset")
-    p.add_argument("--preset", default=None, help="override reservoir size/connectivity")
-    p.add_argument("--noise-targets", default=None, help="which splits receive noise")
+    p.add_argument("--preset", default=None, help="replace the spec's n_hidden and connectivity")
     p.add_argument("--no-timings", action="store_true",
                    help="omit wall-clock columns for byte-identical replays")
     p.set_defaults(func=cmd_bench)

@@ -256,7 +256,8 @@ def inject_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
     are corrupted uniformly in relative terms. Every pattern receives noise;
     labels are untouched. All-zero patterns get zero noise variance (left
     unchanged). Deterministic under (seed, split): ``d.split`` names the
-    random stream, so each split draws its own noise.
+    random stream, so each split draws its own noise. An ``snr_db`` so low
+    that a noised value is not finite raises ValueError.
     """
     if d.n_patterns == 0:
         raise ValueError("cannot inject noise into an empty dataset")
@@ -265,9 +266,12 @@ def inject_noise(d: Dataset, spec: NoiseSpec) -> Dataset:
 
     g = SeededRng(spec.seed).child(f"noise/{d.split or 'data'}").generator()
     power = np.mean(d.patterns**2, axis=1)  # per-pattern signal power
-    sigma = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
-    noise = g.standard_normal(d.patterns.shape) * sigma[:, None]
-    return replace(d, patterns=d.patterns + noise)
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):  # refused below
+        sigma = np.sqrt(power / 10.0 ** (spec.snr_db / 10.0))
+        noised = d.patterns + g.standard_normal(d.patterns.shape) * sigma[:, None]
+    if not np.isfinite(noised).all():
+        raise ValueError(f"snr_db {spec.snr_db} overflows: the noised patterns are not all finite")
+    return replace(d, patterns=noised)
 
 
 def measured_snr(clean: Dataset, noisy: Dataset) -> float:

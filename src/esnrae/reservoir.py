@@ -220,9 +220,10 @@ def _recurrent_layers(weights: EsnWeights) -> tuple[bool, ...]:
 
 # Rows of a layer's input map per block in run_collect. OpenBLAS's gemv dots
 # the rows in groups of 4, so a block that is a multiple of 4 gives each row
-# the bits of the whole-matrix product; 128 rows of a 600-wide map (0.6 MB)
-# stay in L2 while every pattern passes through them.
-_ROW_BLOCK = 128
+# the bits of the whole-matrix product; 152 rows of a 600-wide map (0.7 MB)
+# stay in L2 while every pattern passes through them, and a layer of up to
+# 152 units (the ECG200 preset's 150) stays one block.
+_ROW_BLOCK = 152
 
 
 def _fill_drives(mat: np.ndarray, inputs: np.ndarray, out: np.ndarray) -> None:

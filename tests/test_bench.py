@@ -626,7 +626,7 @@ class TestEmission:
 
 
 class TestLoadSpec:
-    def test_roundtrip_with_overrides(self, synth_files, tmp_path):
+    def test_file_roundtrip(self, synth_files, tmp_path):
         import json
 
         train, test = synth_files
@@ -639,8 +639,8 @@ class TestLoadSpec:
         }
         path = tmp_path / "spec.json"
         path.write_text(json.dumps(doc))
-        spec = bench_mod.load_spec(str(path), {"n_runs": 2, "base_seed": 5})
-        assert spec.n_runs == 2 and spec.base_seed == 5
+        spec = bench_mod.load_spec(str(path))
+        assert spec.n_runs == 4 and spec.methods == ("esn-rae",)
         assert spec.noise_levels == (None, 10.0)
 
     def test_workers_key_is_ignored(self, synth_files, tmp_path):

@@ -251,27 +251,47 @@ class TestBenchCommand:
         assert "hologram" in stderr
 
     @pytest.mark.parametrize(
-        "flag, value, message",
+        "extra, message",
         [
-            ("--methods", "esn-rae,esn-rae", "methods must be distinct"),
-            ("--noise-targets", "sideways", "noise_targets must be train|test|both, got 'sideways'"),
+            ({"methods": ["esn-rae", "esn-rae"]}, "methods must be distinct"),
+            ({"noise_targets": "sideways"}, "noise_targets must be train|test|both, got 'sideways'"),
         ],
         ids=["repeated-method", "unknown-noise-targets"],
     )
-    def test_flag_the_spec_refuses_exits_2_before_any_fit(
-        self, synth_files, tmp_path, capsys, monkeypatch, flag, value, message
+    def test_value_the_spec_refuses_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, extra, message
     ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, **extra)
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert "spec.json" in stderr and message in stderr
+        assert not fitted and not out.exists()
+
+    @pytest.mark.parametrize(
+        "flag, value",
+        [("--runs", "1"), ("--seed", "3"), ("--methods", "esn-rae"), ("--noise-targets", "test")],
+    )
+    def test_removed_override_flag_exits_2_before_any_echo_or_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch, flag, value
+    ):
+        # The spec file is the grid; only --preset replaces two of its values.
         import esnrae.bench as bench_mod
 
         fitted = []
         monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
         spec = self.write_spec(tmp_path, synth_files)
         out = tmp_path / "out"
-        code, _, stderr = run_cli(
-            ["bench", "--spec", spec, "--out-dir", str(out), flag, value], capsys
-        )
-        assert code == 2
-        assert "spec.json" in stderr and message in stderr
+        with pytest.raises(SystemExit) as exc:
+            main(["bench", "--spec", spec, "--out-dir", str(out), flag, value])
+        captured = capsys.readouterr()
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {flag} {value}" in captured.err
+        assert "resolved config" not in captured.out
         assert not fitted and not out.exists()
 
     def test_ill_typed_methods_exit_2_naming_the_spec(self, synth_files, tmp_path, capsys):
@@ -286,14 +306,47 @@ class TestBenchCommand:
         assert code == 2
         assert "mnist" in stderr
 
-    def test_flag_overrides_take_precedence(self, synth_files, tmp_path, capsys):
-        spec = self.write_spec(tmp_path, synth_files)
-        out = str(tmp_path / "r2")
+    def test_preset_replaces_the_spec_reservoir_shape(self, synth_files, tmp_path, capsys):
+        spec = self.write_spec(
+            tmp_path, synth_files, n_hidden=20, connectivity=0.2, methods=["elm-ae"],
+            n_runs=1, noise_levels=[None],
+        )
+        out = tmp_path / "r2"
         code, stdout, _ = run_cli(
-            ["bench", "--spec", spec, "--runs", "1", "--out-dir", out], capsys
+            ["bench", "--spec", spec, "--preset", "ecg200", "--out-dir", str(out), "--no-timings"],
+            capsys,
         )
         assert code == 0
-        assert '"n_runs": 1' in stdout
+        echoed = json.loads(stdout.splitlines()[0].removeprefix("resolved config: "))
+        assert (echoed["n_hidden"], echoed["connectivity"]) == (150, 0.1)
+        first = (out / "synth_report.csv").read_text().splitlines()[0]
+        recorded = json.loads(first.removeprefix("# spec: "))
+        assert (recorded["n_hidden"], recorded["connectivity"]) == (150, 0.1)
+
+    def test_preset_does_not_mend_an_invalid_spec(self, synth_files, tmp_path, capsys):
+        # The file is checked as written, before the preset replaces its shape.
+        spec = self.write_spec(tmp_path, synth_files, connectivity=2.0)
+        out = tmp_path / "out"
+        code, stdout, stderr = run_cli(
+            ["bench", "--spec", spec, "--preset", "ecg200", "--out-dir", str(out)], capsys
+        )
+        assert code == 2
+        assert "spec.json: connectivity must be in (0, 1], got 2.0" in stderr
+        assert "resolved config" not in stdout and not out.exists()
+
+    def test_overflowing_noise_level_exits_2_before_any_fit(
+        self, synth_files, tmp_path, capsys, monkeypatch
+    ):
+        import esnrae.bench as bench_mod
+
+        fitted = []
+        monkeypatch.setattr(bench_mod, "fit", lambda *a: fitted.append(a))
+        spec = self.write_spec(tmp_path, synth_files, noise_levels=[None, -4000])
+        out = tmp_path / "out"
+        code, _, stderr = run_cli(["bench", "--spec", spec, "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert "snr_db -4000.0 overflows: the noised patterns are not all finite" in stderr
+        assert not fitted and not out.exists()
 
     def test_partial_failure_exits_4_but_writes_report(
         self, synth_files, tmp_path, capsys, monkeypatch
@@ -531,6 +584,17 @@ class TestNoiseCommand:
         assert code == 2
         assert f"snr_db must be a finite number, got {value}" in stderr
         assert "resolved config" not in stdout
+        assert not out.exists()
+
+
+    def test_overflowing_snr_exits_2_writing_nothing(self, synth_files, tmp_path, capsys):
+        train, _ = synth_files
+        out = tmp_path / "o.txt"
+        code, _, stderr = run_cli(
+            ["noise", "--input", train, "--snr", "-4000", "--out", str(out)], capsys
+        )
+        assert code == 2
+        assert "snr_db -4000.0 overflows: the noised patterns are not all finite" in stderr
         assert not out.exists()
 
 
@@ -793,6 +857,16 @@ class TestSynthCommand:
         assert flag[2:] in stderr
         assert "resolved config" not in stdout
         assert not out.exists()
+
+
+    def test_unwritable_output_exits_2_writing_nothing(self, tmp_path, capsys):
+        out = tmp_path / "synthdir"
+        (out / "synth_TEST.txt").mkdir(parents=True)
+        code, _, stderr = run_cli(["synth", "--out-dir", str(out)], capsys)
+        assert code == 2
+        assert "Is a directory" in stderr and "synth_TEST.txt" in stderr
+        assert [p.name for p in out.iterdir()] == ["synth_TEST.txt"]
+        assert not any((out / "synth_TEST.txt").iterdir())
 
 
 class TestEntryPoint:

@@ -190,6 +190,13 @@ class TestInjectNoise:
         assert np.array_equal(out.patterns[0], np.zeros(16))
         assert not np.array_equal(out.patterns[1], np.ones(16))
 
+    def test_overflowing_noise_is_refused_naming_snr(self):
+        # 10**(-4000/10) underflows to 0.0, so every sigma is infinite; -3000 dB stays finite.
+        d = small_dataset()
+        with pytest.raises(ValueError, match=r"snr_db -4000\.0 overflows"):
+            inject_noise(d, NoiseSpec(snr_db=-4000.0, seed=1))
+        assert np.isfinite(inject_noise(d, NoiseSpec(snr_db=-3000.0, seed=1)).patterns).all()
+
     def test_deterministic_under_seed(self):
         d = small_dataset(p=9, k=21, seed=10)
         a = inject_noise(d, NoiseSpec(snr_db=5.0, seed=11))

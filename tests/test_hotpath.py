@@ -102,7 +102,7 @@ class TestRowBlockedDrives:
 
 
 class TestRunCollectEqualsStep:
-    # One row block, two (150 = 128 + 22) and five (600) of them.
+    # One row block (16 and 150 units) and four (600 = 3 * 152 + 144).
     @pytest.mark.parametrize("n, k, beta", [(16, 6, 0.25), (150, 96, 0.1), (600, 512, 0.002)])
     @pytest.mark.parametrize("recurrent", [True, False])
     @pytest.mark.parametrize("layers", [1, 2])
